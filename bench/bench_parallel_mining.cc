@@ -76,17 +76,18 @@ Scenario MakeAtmScenario() {
 // Screening is kept at depth 1 so a meaningful candidate population reaches
 // the parallel step-5 scan; deeper screening would shrink the fan-out to a
 // handful of candidates and measure nothing but the serial prefix.
-MinerOptions OptionsWithThreads(int threads) {
+MinerOptions OptionsWithPool(Executor* pool) {
   MinerOptions options;
   options.screening_depth = 1;
-  options.num_threads = threads;
+  options.executor = pool;
   return options;
 }
 
 void RunScaling(benchmark::State& state, Scenario (*make)()) {
   Scenario scenario = make();
   const int threads = static_cast<int>(state.range(0));
-  Miner miner(scenario.system.get(), OptionsWithThreads(threads));
+  Executor pool(threads);
+  Miner miner(scenario.system.get(), OptionsWithPool(&pool));
   // Warm the shared table/coverage caches so every width measures the same
   // post-warmup regime.
   benchmark::DoNotOptimize(
@@ -117,7 +118,7 @@ void BM_ParallelMining_Atm(benchmark::State& state) {
   RunScaling(state, MakeAtmScenario);
 }
 
-// range(0) = MinerOptions::num_threads.
+// range(0) = worker count of the MinerOptions::executor pool.
 BENCHMARK(BM_ParallelMining_Stock)
     ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond)

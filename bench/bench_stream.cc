@@ -75,9 +75,10 @@ OnlineMiner MakeMiner(StreamScenario* scenario, OnlineMinerOptions options) {
 // Args: event count, retention (0 = unbounded), threads.
 void BM_StreamIngest(benchmark::State& state) {
   StreamScenario* scenario = Scenario(static_cast<std::size_t>(state.range(0)));
+  Executor pool(static_cast<int>(state.range(2)));
   OnlineMinerOptions options;
   if (state.range(1) > 0) options.retention = state.range(1);
-  options.num_threads = static_cast<int>(state.range(2));
+  options.executor = &pool;
   std::size_t resident_roots = 0, resident_configs = 0;
   for (auto _ : state) {
     OnlineMiner miner = MakeMiner(scenario, options);
@@ -105,8 +106,9 @@ BENCHMARK(BM_StreamIngest)
 // answer to "does the pattern still hold?". Args: event count, threads.
 void BM_StreamSnapshot(benchmark::State& state) {
   StreamScenario* scenario = Scenario(static_cast<std::size_t>(state.range(0)));
+  Executor pool(static_cast<int>(state.range(1)));
   OnlineMinerOptions options;
-  options.num_threads = static_cast<int>(state.range(1));
+  options.executor = &pool;
   OnlineMiner miner = MakeMiner(scenario, options);
   for (const Event& event : scenario->events) {
     if (!miner.Ingest(event).ok()) std::abort();
@@ -130,8 +132,9 @@ BENCHMARK(BM_StreamSnapshot)
 // re-scan would pay on every arrival. Args: event count, threads.
 void BM_BatchRescan(benchmark::State& state) {
   StreamScenario* scenario = Scenario(static_cast<std::size_t>(state.range(0)));
+  Executor pool(static_cast<int>(state.range(1)));
   OnlineMinerOptions stream_options;
-  stream_options.num_threads = static_cast<int>(state.range(1));
+  stream_options.executor = &pool;
   EventSequence sequence(scenario->events);
   Miner miner(&scenario->system, stream_options.BatchEquivalent());
   std::size_t solutions = 0;

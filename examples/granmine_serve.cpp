@@ -166,6 +166,10 @@ int main(int argc, char** argv) {
     }
   }
 
+  // Handlers go in before Start: a supervisor may signal as soon as it reads
+  // the port line, and a stop that arrives during Start still drains.
+  std::signal(SIGINT, HandleStop);
+  std::signal(SIGTERM, HandleStop);
   server::Server tcp_server(engine->get(), server_options);
   if (Status started = tcp_server.Start(); !started.ok()) {
     std::fprintf(stderr, "serve: %s\n", started.ToString().c_str());
@@ -176,8 +180,6 @@ int main(int argc, char** argv) {
               static_cast<unsigned>(tcp_server.port()));
   std::fflush(stdout);
 
-  std::signal(SIGINT, HandleStop);
-  std::signal(SIGTERM, HandleStop);
   while (g_stop == 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }

@@ -1,13 +1,25 @@
 #include "granmine/common/executor.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "granmine/common/check.h"
 #include "granmine/obs/obs.h"
 
 namespace granmine {
 
-Executor::Executor(int num_threads) : num_threads_(Resolve(num_threads)) {
+namespace {
+
+/// The executor whose loop body this thread is running, if any.
+thread_local const Executor* t_running = nullptr;
+
+}  // namespace
+
+Executor::Executor(int num_threads)
+    : num_threads_(num_threads > 0
+                       ? num_threads
+                       : static_cast<int>(std::max(
+                             1u, std::thread::hardware_concurrency()))) {
   workers_.reserve(static_cast<std::size_t>(num_threads_ - 1));
   for (int w = 1; w < num_threads_; ++w) {
     workers_.emplace_back([this, w] { WorkerLoop(w); });
@@ -24,6 +36,8 @@ Executor::~Executor() {
 }
 
 void Executor::DrainJob(Job* job, int worker) {
+  // Bodies' exceptions are caught below, so the restore at the end runs.
+  const Executor* outer = std::exchange(t_running, this);
   while (true) {
     if (job->failed.load(std::memory_order_relaxed)) break;
     if (job->cancel != nullptr &&
@@ -58,6 +72,7 @@ void Executor::DrainJob(Job* job, int worker) {
       break;
     }
   }
+  t_running = outer;
 }
 
 void Executor::WorkerLoop(int worker) {
@@ -86,41 +101,38 @@ void Executor::ParallelFor(std::size_t count,
                            const std::function<void(std::size_t, int)>& body,
                            const std::atomic<bool>* cancel) {
   if (count == 0) return;
-  if (num_threads_ == 1) {
-    // Inline path: exceptions propagate naturally; the cancel token is
-    // observed between items, mirroring the pool's claim-time check.
-    for (std::size_t i = 0; i < count; ++i) {
-      if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) break;
-      body(i, 0);
-    }
-    return;
-  }
-  GM_COUNTER_ADD("granmine_executor_jobs_total", "", 1);
-  GM_GAUGE_SET("granmine_executor_queue_depth", "",
-               static_cast<std::int64_t>(count));
+  GM_CHECK(t_running != this) << "Executor::ParallelFor is not reentrant";
   Job job;
   job.count = count;
   job.body = &body;
   job.cancel = cancel;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    GM_CHECK(job_ == nullptr) << "Executor::ParallelFor is not reentrant";
-    job_ = &job;
-    ++job_epoch_;
+  if (num_threads_ == 1) {
+    DrainJob(&job, 0);  // inline on the caller: no pool, no turn to wait for
+  } else {
+    // Wait for any loop another caller is running to finish.
+    std::lock_guard<std::mutex> turn(turn_mutex_);
+    GM_COUNTER_ADD("granmine_executor_jobs_total", "", 1);
+    GM_GAUGE_SET("granmine_executor_queue_depth", "",
+                 static_cast<std::int64_t>(count));
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      job_ = &job;
+      ++job_epoch_;
+    }
+    job_ready_.notify_all();
+    // The calling thread is worker 0.
+    DrainJob(&job, 0);
+    {
+      std::unique_lock<std::mutex> lock(mutex_);
+      // Every pool worker visits each job exactly once (the epoch check), so
+      // draining is complete — and the stack-allocated job safe to destroy —
+      // exactly when all of them have checked back in.
+      job_done_.wait(
+          lock, [&] { return job.workers_finished == num_threads_ - 1; });
+      job_ = nullptr;
+    }
+    GM_GAUGE_SET("granmine_executor_queue_depth", "", 0);
   }
-  job_ready_.notify_all();
-  // The calling thread is worker 0.
-  DrainJob(&job, 0);
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    // Every pool worker visits each job exactly once (the epoch check), so
-    // draining is complete — and the stack-allocated job safe to destroy —
-    // exactly when all of them have checked back in.
-    job_done_.wait(lock,
-                   [&] { return job.workers_finished == num_threads_ - 1; });
-    job_ = nullptr;
-  }
-  GM_GAUGE_SET("granmine_executor_queue_depth", "", 0);
   // All workers have detached, so first_exception is stable without the
   // failure mutex. Rethrow on the caller per the executor.h guarantee.
   if (job.first_exception != nullptr) {

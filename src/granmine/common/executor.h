@@ -1,7 +1,6 @@
 #ifndef GRANMINE_COMMON_EXECUTOR_H_
 #define GRANMINE_COMMON_EXECUTOR_H_
 
-#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
@@ -19,13 +18,20 @@ namespace granmine {
 /// calling thread participates as worker 0 alongside `num_threads - 1` pool
 /// threads.
 ///
+/// The Engine owns one executor and lends it by pointer
+/// (`MinerOptions::executor`, `OnlineMinerOptions::executor`); nothing below
+/// the Engine builds its own.
+///
 /// Work items are claimed from a shared atomic counter (dynamic load
 /// balancing), but results are always collected by item index, so
 /// `ParallelMap` output order — and anything a caller merges in index order —
 /// is deterministic regardless of scheduling.
 ///
-/// One parallel loop runs at a time per executor; the entry points block
-/// until every item has finished or been abandoned.
+/// Sharing: any number of threads may call the entry points at once. They
+/// take turns, one loop at a time on the whole pool, and each blocks until
+/// its items have finished or been abandoned; the inline path never waits.
+/// A nested call from inside a loop body would wait for its own turn
+/// forever, so it is a GM_CHECK failure instead.
 ///
 /// Failure guarantee: a body that throws does NOT take the process down.
 /// The first exception (first to be *caught*, not lowest index) is captured,
@@ -46,16 +52,6 @@ class Executor {
   /// `num_threads <= 0` means "use the hardware concurrency".
   explicit Executor(int num_threads);
   ~Executor();
-
-  /// The worker count `Executor(num_threads)` will actually run with —
-  /// exposed so callers can size per-worker scratch pools before (or
-  /// without) constructing the pool itself.
-  static int Resolve(int num_threads) {
-    return num_threads > 0
-               ? num_threads
-               : static_cast<int>(
-                     std::max(1u, std::thread::hardware_concurrency()));
-  }
 
   Executor(const Executor&) = delete;
   Executor& operator=(const Executor&) = delete;
@@ -109,11 +105,12 @@ class Executor {
   void WorkerLoop(int worker);
   /// Claims items from `job` until none remain, the job failed, or the
   /// cancel token reads true.
-  static void DrainJob(Job* job, int worker);
+  void DrainJob(Job* job, int worker);
 
   const int num_threads_;
   std::vector<std::thread> workers_;
 
+  std::mutex turn_mutex_;  // held for a whole pool loop: callers take turns
   std::mutex mutex_;
   std::condition_variable job_ready_;
   std::condition_variable job_done_;
@@ -121,6 +118,12 @@ class Executor {
   std::uint64_t job_epoch_ = 0; // bumped per ParallelFor; guarded by mutex_
   bool shutdown_ = false;       // guarded by mutex_
 };
+
+/// The worker count a borrowed pool gives a loop: 1 (the caller alone) when
+/// `executor` is null. Size per-worker scratch with this.
+inline int WorkerCount(const Executor* executor) {
+  return executor != nullptr ? executor->num_threads() : 1;
+}
 
 }  // namespace granmine
 

@@ -34,9 +34,9 @@ namespace granmine {
 /// these, so callers configure (threads, limits, observability) once instead
 /// of threading the same quadruple through every call chain.
 struct EngineOptions {
-  /// Worker threads shared by every Mine request and the default for stream
-  /// sessions. 1 = serial (bit-identical to the single-threaded paths);
-  /// <= 0 = hardware concurrency.
+  /// Workers of the one pool shared by every Mine request and every stream
+  /// session. 1 = serial (bit-identical to the single-threaded paths; the
+  /// pool spawns no threads); <= 0 = hardware concurrency.
   int num_threads = 1;
   /// Default per-request governor limits; all-zero = ungoverned. A request
   /// overrides them with `limits`, or bypasses the factory entirely with a
@@ -66,8 +66,8 @@ struct EngineOptions {
 struct MineRequest {
   const DiscoveryProblem* problem = nullptr;
   const EventSequence* sequence = nullptr;
-  /// Per-request mining knobs. `num_threads` and `executor` are resolved by
-  /// the engine (its shared pool) and need not be set.
+  /// Per-request mining knobs. `executor` is set by the engine to its
+  /// shared pool and need not be set.
   MinerOptions options;
   /// Governor limits for this request; unset = the engine's default limits.
   std::optional<GovernorLimits> limits;
@@ -115,11 +115,9 @@ struct SnapshotSaveOptions {
 /// the returned OnlineMiner.
 struct StreamRequest {
   const DiscoveryProblem* problem = nullptr;
-  /// Per-session knobs. `num_threads` is resolved by the engine unless
-  /// `num_threads_override` is set.
+  /// Per-session knobs. `executor` is set by the engine to its shared pool
+  /// and need not be set.
   OnlineMinerOptions options;
-  /// Session thread count; unset = the engine's default.
-  std::optional<int> num_threads_override;
 };
 
 /// The serving facade over one frozen granularity family: owns the
@@ -136,16 +134,18 @@ struct StreamRequest {
 /// freeze, table/coverage lookups are lock-free array reads, so one engine
 /// supports many concurrent sessions.
 ///
-/// Thread safety: `Mine` serializes internally on the shared pool (one
-/// parallel loop at a time per Executor); `Match` is safe from any thread
-/// once frozen; each `OpenStream` session is single-threaded externally,
-/// like `OnlineMiner` itself.
+/// Thread safety: `Mine`, `Match`, `OpenStream` and `RestoreStream` are safe
+/// from any number of threads. `Mine` and each stream session run their
+/// step-5 loops on the one engine-owned pool; two requests that reach such a
+/// loop together take turns on it (at `num_threads == 1` each runs inline and
+/// nothing waits). `Match` never touches the pool. Each stream session is
+/// single-threaded externally, like `OnlineMiner` itself.
 class Engine {
  public:
   /// Takes ownership of `system` (must be non-null). Flips the obs runtime
-  /// switches on when asked, and builds the shared pool for
-  /// `options.num_threads`. The system stays unfrozen so callers can keep
-  /// defining granularities until the first serve call.
+  /// switches on when asked, and builds the shared pool of
+  /// `options.num_threads` workers. The system stays unfrozen so callers can
+  /// keep defining granularities until the first serve call.
   static Result<std::unique_ptr<Engine>> Create(
       std::unique_ptr<GranularitySystem> system,
       EngineOptions options = EngineOptions{});
@@ -177,8 +177,8 @@ class Engine {
   Result<MatchResponse> Match(const MatchRequest& request);
 
   /// Opens a streaming session resolved against engine defaults. Freezes on
-  /// first use. The session borrows the engine's system (not its pool: a
-  /// stream session owns per-session executor state).
+  /// first use. The session borrows the engine's system and pool, so the
+  /// engine must outlive it.
   Result<OnlineMiner> OpenStream(const StreamRequest& request);
 
   /// Writes a versioned binary snapshot (docs/persistence.md) of the frozen
@@ -219,11 +219,9 @@ class Engine {
   AdmissionController* admission() { return admission_.get(); }
   const AdmissionController* admission() const { return admission_.get(); }
 
-  /// Resolved engine-wide worker count (>= 1).
-  int num_threads() const { return num_threads_; }
-
-  /// The shared step-5 pool; null when the engine is serial.
-  Executor* executor() { return executor_.get(); }
+  /// The shared step-5 pool: never null, and spawns no threads at one
+  /// worker. Its `num_threads()` is the resolved engine-wide worker count.
+  Executor* executor() { return &executor_; }
 
   /// The process obs registries the engine switched on (always valid; when
   /// the corresponding EngineOptions switch was off they simply stay
@@ -306,8 +304,7 @@ class Engine {
   std::once_flag freeze_once_;
   Status freeze_status_ = Status::OK();
   EngineOptions options_;
-  int num_threads_ = 1;
-  std::unique_ptr<Executor> executor_;
+  Executor executor_;
   std::unique_ptr<AdmissionController> admission_;
   obs::MetricsRegistry* metrics_;
   obs::TraceCollector* trace_;

@@ -21,6 +21,10 @@ std::string_view StripComment(std::string_view line) {
   return line;
 }
 
+/// Weekday names by WeekdayFromDays index, as FormatTimePoint writes them.
+constexpr const char* kWeekdays[] = {"Mon", "Tue", "Wed", "Thu",
+                                     "Fri", "Sat", "Sun"};
+
 std::string_view Trim(std::string_view text) {
   while (!text.empty() && std::isspace(static_cast<unsigned char>(
                               text.front()))) {
@@ -348,33 +352,51 @@ Result<const Granularity*> ParseGranularityDefinition(
 Result<TimePoint> ParseTimePoint(std::string_view text,
                                  std::int64_t units_per_day) {
   text = Trim(text);
+  auto invalid = [&](const char* what) {
+    return Status::Invalid(std::string(what) + " in '" + std::string(text) +
+                           "'");
+  };
+  // Reads an integer, then `sep` unless it is 0, off the front of `rest`.
+  std::string_view rest = text;
+  auto read = [&](int* value, char sep) {
+    auto [ptr, ec] =
+        std::from_chars(rest.data(), rest.data() + rest.size(), *value);
+    rest.remove_prefix(static_cast<std::size_t>(ptr - rest.data()));
+    if (ec != std::errc() || sep == 0) return ec == std::errc();
+    if (rest.empty() || rest.front() != sep) return false;
+    rest.remove_prefix(1);
+    return true;
+  };
   int year = 0, month = 0, day = 0, hour = 0, minute = 0, second = 0;
-  int consumed = 0;
-  int fields = std::sscanf(std::string(text).c_str(),
-                           "%d-%d-%d %d:%d:%d%n", &year, &month, &day, &hour,
-                           &minute, &second, &consumed);
-  if (fields < 3) {
-    return Status::Invalid("expected 'YYYY-MM-DD[ HH:MM:SS]', found '" +
-                           std::string(text) + "'");
+  if (!read(&year, '-') || !read(&month, '-') || !read(&day, 0)) {
+    return invalid("expected 'YYYY-MM-DD[ Www][ HH:MM:SS]'");
   }
   if (month < 1 || month > 12 || day < 1 || day > DaysInMonth(year, month)) {
-    return Status::Invalid("invalid civil date '" + std::string(text) + "'");
+    return invalid("invalid civil date");
   }
-  TimePoint days = DaysFromCivil(year, month, day);
-  TimePoint instant = days * units_per_day;
-  if (fields >= 6) {
-    if (units_per_day != kSecondsPerDay) {
-      return Status::Invalid(
-          "time-of-day given but the calendar is day-grained");
+  const TimePoint days = DaysFromCivil(year, month, day);
+  rest = Trim(rest);
+  // The optional weekday FormatTimePoint writes must name the date's day.
+  if (!rest.empty() && std::isalpha(static_cast<unsigned char>(rest.front()))) {
+    const std::string_view weekday = rest.substr(0, rest.find(' '));
+    if (weekday != kWeekdays[WeekdayFromDays(days)]) {
+      return invalid("weekday does not match the date");
     }
-    if (hour < 0 || hour > 23 || minute < 0 || minute > 59 || second < 0 ||
-        second > 59) {
-      return Status::Invalid("invalid time of day in '" + std::string(text) +
-                             "'");
-    }
-    instant += hour * 3600 + minute * 60 + second;
+    rest = Trim(rest.substr(weekday.size()));
   }
-  return instant;
+  if (rest.empty()) return days * units_per_day;
+  if (!read(&hour, ':') || !read(&minute, ':') || !read(&second, 0) ||
+      !rest.empty()) {
+    return invalid("expected 'HH:MM:SS' after the date");
+  }
+  if (units_per_day != kSecondsPerDay) {
+    return invalid("time of day on a day-grained calendar");
+  }
+  if (hour < 0 || hour > 23 || minute < 0 || minute > 59 || second < 0 ||
+      second > 59) {
+    return invalid("invalid time of day");
+  }
+  return days * units_per_day + hour * 3600 + minute * 60 + second;
 }
 
 Result<EventSequence> ParseEventSequence(std::string_view text,
@@ -425,8 +447,6 @@ Result<EventSequence> ParseEventSequence(std::string_view text,
 }
 
 std::string FormatTimePoint(TimePoint t, std::int64_t units_per_day) {
-  static const char* kWeekdays[] = {"Mon", "Tue", "Wed", "Thu",
-                                    "Fri", "Sat", "Sun"};
   std::int64_t days = FloorDiv(t, units_per_day);
   std::int64_t within = t - days * units_per_day;
   CivilDate date = CivilFromDays(days);

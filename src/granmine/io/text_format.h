@@ -61,8 +61,8 @@ Result<const Granularity*> ParseGranularityDefinition(
 ///     1970-01-06           IBM-earnings-report   # midnight
 ///     3600                 tick                  # raw seconds also fine
 ///
-/// Timestamps are either a raw integer (primitive instants) or a civil
-/// "YYYY-MM-DD[ HH:MM:SS]" converted with `units_per_day` instants per day.
+/// Timestamps are either a raw integer (primitive instants) or a civil date
+/// as ParseTimePoint reads it, with `units_per_day` instants per day.
 /// Type names are interned into `registry`.
 Result<EventSequence> ParseEventSequence(std::string_view text,
                                          EventTypeRegistry* registry,
@@ -72,7 +72,8 @@ Result<EventSequence> ParseEventSequence(std::string_view text,
 /// 86400); "1970-01-05 Mon" for day-grained ones (units_per_day = 1).
 std::string FormatTimePoint(TimePoint t, std::int64_t units_per_day = 86400);
 
-/// Parses "YYYY-MM-DD[ HH:MM:SS]" into an instant.
+/// Parses "YYYY-MM-DD[ Www][ HH:MM:SS]" (all FormatTimePoint writes) into an
+/// instant. A wrong weekday or any other extra text is InvalidArgument.
 Result<TimePoint> ParseTimePoint(std::string_view text,
                                  std::int64_t units_per_day = 86400);
 

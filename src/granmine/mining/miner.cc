@@ -305,11 +305,9 @@ Result<MiningReport> Miner::Mine(const DiscoveryProblem& problem,
   TagMatcher matcher(&skeleton.tag);
 
   // Per-worker match scratches, sized for the pool the scan driver will run
-  // (worker 0 is the calling thread on the serial path). A borrowed pool
-  // dictates the worker count directly.
-  std::vector<MatchScratch> scratches(static_cast<std::size_t>(
-      options_.executor != nullptr ? options_.executor->num_threads()
-                                   : Executor::Resolve(options_.num_threads)));
+  // (worker 0 is the calling thread on the serial path).
+  std::vector<MatchScratch> scratches(
+      static_cast<std::size_t>(WorkerCount(options_.executor)));
 
   // Evaluates one candidate φ; kUnknown sets *reason.
   auto scan_candidate = [&](const std::vector<EventTypeId>& phi,
@@ -360,7 +358,6 @@ Result<MiningReport> Miner::Mine(const DiscoveryProblem& problem,
   };
 
   ScanDriverOptions scan_options;
-  scan_options.num_threads = options_.num_threads;
   scan_options.executor = options_.executor;
   scan_options.partial = partial;
   scan_options.governor = governor;

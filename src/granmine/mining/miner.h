@@ -62,17 +62,12 @@ struct MinerOptions {
   int max_induced_problems = 64;
   /// Matcher budget per anchored run.
   std::uint64_t max_configurations_per_run = 50'000'000;
-  /// Step-5 parallelism: worker threads fanning the (candidate × reference
-  /// occurrence) TAG scans across an Executor. 1 (the default) runs the
-  /// serial path, bit-identical to the single-threaded implementation;
-  /// values <= 0 use the hardware concurrency. Any value yields the same
-  /// MiningReport solutions in the same (lexicographic assignment) order —
-  /// results are merged back in candidate-index order.
-  int num_threads = 1;
-  /// Borrowed thread pool for the step-5 scan (the Engine threads its own
-  /// here so every Mine request reuses one pool). When set it supersedes
-  /// `num_threads`; when null the scan constructs a transient pool. The
-  /// report is identical either way.
+  /// Step-5 parallelism: a borrowed pool (the Engine passes its own, so
+  /// every Mine request shares one) across which the (candidate × reference
+  /// occurrence) TAG scans fan out. Null or a one-thread pool runs the
+  /// serial path, bit-identical to the single-threaded implementation. Any
+  /// pool yields the same MiningReport solutions in the same (lexicographic
+  /// assignment) order — results are merged back in candidate-index order.
   Executor* executor = nullptr;
   /// Request id (obs/context.h) stamped by the Engine at admission; workers
   /// re-install it as their RequestScope so spans and log lines emitted from
@@ -92,9 +87,9 @@ struct MinerOptions {
 
 /// The §5 discovery procedure: steps 1-4 shrink the search space, step 5
 /// scans the sequence with one anchored TAG run per (candidate, reference
-/// occurrence), using a single skeleton TAG for every candidate. With
-/// `MinerOptions::num_threads > 1` the step-5 scans fan out across a fixed
-/// thread pool: the skeleton TAG, the reduced sequence and the shared
+/// occurrence), using a single skeleton TAG for every candidate. With a
+/// multi-thread `MinerOptions::executor` the step-5 scans fan out across the
+/// pool: the skeleton TAG, the reduced sequence and the shared
 /// granularity caches are read-only by then, each worker keeps its own
 /// match scratch, and per-candidate results are merged deterministically.
 class Miner {

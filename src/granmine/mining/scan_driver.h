@@ -60,7 +60,7 @@ enum class CandidateFate { kDecided, kUnknown };
 /// Evaluates one candidate assignment φ. `index` is the global candidate
 /// position in [0, scan_total) — the streaming miner uses it to address
 /// resident per-candidate state. `worker` indexes per-worker scratch state
-/// (in [0, Executor::Resolve(num_threads))). The evaluator records its
+/// (in [0, WorkerCount(executor))). The evaluator records its
 /// verdict in `out` (confirmed/refuted counts, solutions, tag_runs,
 /// configurations) and returns kDecided, or returns kUnknown with `*reason`
 /// set to what interrupted it. It must not touch `out->unknown`,
@@ -71,15 +71,10 @@ using CandidateEvaluator = std::function<CandidateFate(
     ScanOutcome* out, StopCause* reason)>;
 
 struct ScanDriverOptions {
-  /// 1 = serial path (bit-identical to the single-threaded implementation);
-  /// <= 0 = hardware concurrency.
-  int num_threads = 1;
-  /// Borrowed thread pool for the parallel path (e.g. the Engine's). When
-  /// null the driver constructs a transient Executor(num_threads) per scan;
-  /// when set, the pool's thread count wins over `num_threads` (size
-  /// per-worker scratch with `Executor::Resolve` on the same pool). The
-  /// merged report is identical either way — chunking depends only on the
-  /// worker count.
+  /// Borrowed thread pool (the Engine's). Null or a one-thread pool runs
+  /// the serial path inline on the caller, bit-identical to the
+  /// single-threaded implementation. Size per-worker scratch from the same
+  /// pool. The merged report is identical either way.
   Executor* executor = nullptr;
   /// ExhaustionPolicy::kPartial: interruptions degrade candidates to unknown
   /// instead of aborting the scan.

@@ -180,14 +180,8 @@ struct Server::Impl {
   /// connection: the loop flushes this frame, then closes.
   void SendError(Connection* conn, std::uint64_t corr_id, const Status& status,
                  bool retryable, std::uint64_t backoff_ms, bool fatal) {
-    ErrorBody error;
-    error.status_code = static_cast<std::uint32_t>(status.code());
-    error.retryable = retryable;
-    error.fatal = fatal;
-    error.backoff_ms = backoff_ms;
-    error.message = status.ToString();
     std::vector<std::uint8_t> bytes;
-    AppendFrame(&bytes, FrameType::kErrorReply, corr_id, EncodeError(error));
+    AppendErrorFrame(&bytes, corr_id, status, retryable, backoff_ms, fatal);
     std::lock_guard<std::mutex> lock(mu_);
     EnqueueBytesLocked(conn, bytes);
     if (fatal) conn->fatal = true;

@@ -100,7 +100,7 @@ void IncrementalMatcher::AdvanceGroup(
     }
   };
 
-  if (executor != nullptr && executor->num_threads() > 1) {
+  if (WorkerCount(executor) > 1) {
     executor->ParallelFor(roots_.size(), advance_root);
   } else {
     for (std::size_t r = 0; r < roots_.size(); ++r) advance_root(r, 0);

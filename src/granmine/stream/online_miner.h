@@ -33,10 +33,10 @@ struct OnlineMinerOptions {
   /// behind the watermark are evicted with their counts retracted, so a
   /// snapshot covers exactly the retained suffix. kInfinity = keep all.
   std::int64_t retention = kInfinity;
-  /// Step-5 parallelism for both the per-group advance (fanned across
-  /// roots) and snapshot candidate merges. Same semantics as
-  /// MinerOptions::num_threads.
-  int num_threads = 1;
+  /// Borrowed pool for both the per-group advance (fanned across roots) and
+  /// snapshot candidate scans; must outlive the miner. Same semantics as
+  /// MinerOptions::executor. Not part of the checkpoint fingerprint.
+  Executor* executor = nullptr;
   /// Candidate-space cap. Unlike the batch miner, the streaming miner keeps
   /// one resident run per (root, candidate), so memory is
   /// O(max_candidates × resident roots) — hence the much lower default.
@@ -68,7 +68,7 @@ struct OnlineMinerOptions {
     batch.on_exhaustion = MinerOptions::ExhaustionPolicy::kPartial;
     batch.max_candidates = max_candidates;
     batch.max_configurations_per_run = max_configurations_per_run;
-    batch.num_threads = num_threads;
+    batch.executor = executor;
     batch.request_id = request_id;
     return batch;
   }
@@ -96,8 +96,9 @@ struct OnlineMinerOptions {
 ///  - an inconsistent structure still yields a miner (snapshots report
 ///    refuted_by_propagation, with only the event counters live).
 ///
-/// `problem.structure` and `system` must outlive the miner. Not thread-safe
-/// externally; internally the group advance fans out across an executor.
+/// `problem.structure`, `system` and `options.executor` must outlive the
+/// miner. Not thread-safe externally; internally the group advance and the
+/// snapshot scan fan out across the borrowed executor.
 class OnlineMiner {
  public:
   static Result<OnlineMiner> Create(GranularitySystem* system,
@@ -208,9 +209,8 @@ class OnlineMiner {
   StreamIngestor ingestor_;
   Core core_;
 
-  /// Group-advance fan-out pool (null when effectively serial) and the
-  /// per-worker kernel scratches (at least one).
-  std::unique_ptr<Executor> executor_;
+  /// Per-worker kernel scratches for the group advance, one per
+  /// `options_.executor` worker (at least one).
   std::vector<TagKernelScratch> scratches_;
 
   // Commit scratch (contents ephemeral; kept to avoid reallocation).

@@ -1,21 +1,25 @@
 // Concurrency gate for the shared caching substrate and the parallel miner:
 // hammers GranularityTables and SupportCoverageCache from many threads
 // against serial oracles, exercises the Executor itself, and asserts the
-// Miner's determinism guarantee (num_threads ∈ {1, 2, 8} produce identical
+// Miner's determinism guarantee (1-, 2- and 8-thread pools produce identical
 // reports). Run under GRANMINE_SANITIZE=thread to certify data-race freedom.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
 #include <map>
+#include <memory>
 #include <optional>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <tuple>
 #include <vector>
 
 #include "granmine/common/executor.h"
+#include "granmine/engine/engine.h"
 #include "granmine/granularity/convert.h"
 #include "granmine/granularity/system.h"
 #include "granmine/mining/miner.h"
@@ -155,6 +159,49 @@ TEST(ExecutorTest, BackToBackLoopsReuseThePool) {
     });
     std::size_t n = static_cast<std::size_t>(round) + 1;
     EXPECT_EQ(sum.load(), n * (n + 1) / 2);
+  }
+}
+
+// One pool shared by many request threads: concurrent loops take turns, so
+// every loop still sees each index exactly once and a worker index is never
+// held by two threads at the same moment (per-worker scratch stays private).
+TEST(ExecutorTest, ConcurrentCallersTakeTurnsOnOnePool) {
+  Executor executor(4);
+  std::atomic<int> busy[4] = {};
+  std::atomic<int> shared_workers{0};
+  std::atomic<int> wrong_sums{0};
+  std::vector<std::thread> callers;
+  for (int c = 0; c < 4; ++c) {
+    callers.emplace_back([&] {
+      for (std::size_t n = 1; n <= 40; ++n) {
+        std::atomic<std::size_t> sum{0};
+        executor.ParallelFor(n, [&](std::size_t i, int worker) {
+          if (busy[worker].fetch_add(1) != 0) shared_workers.fetch_add(1);
+          sum.fetch_add(i + 1, std::memory_order_relaxed);
+          busy[worker].fetch_sub(1);
+        });
+        if (sum.load() != n * (n + 1) / 2) wrong_sums.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& caller : callers) caller.join();
+  EXPECT_EQ(wrong_sums.load(), 0);
+  EXPECT_EQ(shared_workers.load(), 0);
+}
+
+// A loop body that re-enters its own pool would wait for its own turn
+// forever; it fails loudly instead, on the inline path too.
+TEST(ExecutorDeathTest, NestedCallFromALoopBodyFailsLoudly) {
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  for (int threads : {1, 2}) {
+    Executor executor(threads);
+    EXPECT_DEATH(executor.ParallelFor(2,
+                                      [&](std::size_t, int) {
+                                        executor.ParallelFor(
+                                            1, [](std::size_t, int) {});
+                                      }),
+                 "not reentrant")
+        << "threads=" << threads;
   }
 }
 
@@ -387,24 +434,23 @@ TEST(ParallelMinerTest, ThreadCountNeverChangesTheReport) {
   problem.allowed.assign(4, {});
   problem.allowed[3] = {*workload.registry.Find("IBM-fall")};
 
-  MinerOptions serial_options;
-  serial_options.num_threads = 1;
-  Miner serial(system.get(), serial_options);
+  Miner serial(system.get());
   Result<MiningReport> want = serial.Mine(problem, workload.sequence);
   ASSERT_TRUE(want.ok()) << want.status();
   ASSERT_FALSE(want->solutions.empty());
 
   for (int threads : {2, 8}) {
+    Executor pool(threads);
     MinerOptions options;
-    options.num_threads = threads;
+    options.executor = &pool;
     Miner miner(system.get(), options);
     Result<MiningReport> got = miner.Mine(problem, workload.sequence);
     ASSERT_TRUE(got.ok()) << got.status();
     ASSERT_EQ(got->solutions.size(), want->solutions.size())
-        << "num_threads=" << threads;
+        << "threads=" << threads;
     for (std::size_t i = 0; i < want->solutions.size(); ++i) {
       EXPECT_EQ(got->solutions[i].assignment, want->solutions[i].assignment)
-          << "num_threads=" << threads << " solution " << i;
+          << "threads=" << threads << " solution " << i;
       EXPECT_EQ(got->solutions[i].frequency, want->solutions[i].frequency);
       EXPECT_EQ(got->solutions[i].matched_roots,
                 want->solutions[i].matched_roots);
@@ -439,15 +485,14 @@ TEST(ParallelMinerTest, NaivePipelineIsDeterministicToo) {
   problem.allowed.assign(4, {});
   problem.allowed[3] = {*workload.registry.Find("IBM-fall")};
 
-  MinerOptions serial_options = MinerOptions::Naive();
-  serial_options.num_threads = 1;
-  Miner serial(system.get(), serial_options);
+  Miner serial(system.get(), MinerOptions::Naive());
   Result<MiningReport> want = serial.Mine(problem, workload.sequence);
   ASSERT_TRUE(want.ok()) << want.status();
 
   for (int threads : {2, 8}) {
+    Executor pool(threads);
     MinerOptions options = MinerOptions::Naive();
-    options.num_threads = threads;
+    options.executor = &pool;
     Miner miner(system.get(), options);
     Result<MiningReport> got = miner.Mine(problem, workload.sequence);
     ASSERT_TRUE(got.ok()) << got.status();
@@ -500,6 +545,107 @@ TEST(ParallelMinerTest, ConcurrentMineCallsShareOneColdSystem) {
   ASSERT_EQ(failures.load(), 0);
   for (std::size_t t = 1; t < solution_counts.size(); ++t) {
     EXPECT_EQ(solution_counts[t], solution_counts[0]);
+  }
+}
+
+std::string FormatReport(const MiningReport& report) {
+  std::string out;
+  char buffer[256];
+  auto append = [&](const char* format, auto... args) {
+    std::snprintf(buffer, sizeof(buffer), format, args...);
+    out += buffer;
+  };
+  append("roots=%zu events=%zu/%zu cand=%llu/%llu runs=%llu configs=%llu\n",
+         report.total_roots, report.events_before,
+         report.events_after_reduction,
+         static_cast<unsigned long long>(report.candidates_before),
+         static_cast<unsigned long long>(report.candidates_after_screening),
+         static_cast<unsigned long long>(report.tag_runs),
+         static_cast<unsigned long long>(report.matcher_configurations));
+  const MiningCompleteness& c = report.completeness;
+  append("complete=%d stop=%d confirmed=%llu refuted=%llu unknown=%llu\n",
+         c.complete ? 1 : 0, static_cast<int>(c.stop),
+         static_cast<unsigned long long>(c.confirmed),
+         static_cast<unsigned long long>(c.refuted),
+         static_cast<unsigned long long>(c.unknown));
+  for (const DiscoveredType& solution : report.solutions) {
+    out += "sol";
+    for (EventTypeId type : solution.assignment) append(" %d", type);
+    append(" matched=%zu freq=%.17g\n", solution.matched_roots,
+           solution.frequency);
+  }
+  return out;
+}
+
+// Mines one fixed problem on an engine with `threads` workers: a unit-step
+// chain X0 -> X1 -> X2 over a dense pseudo-random sequence of six types, so
+// the step-5 scan covers 36 candidates (many chunks at four workers) and
+// runs long enough for two requests to reach it together.
+class EngineMineFixture {
+ public:
+  explicit EngineMineFixture(int threads) {
+    EngineOptions options;
+    options.num_threads = threads;
+    engine_ = Engine::Create(std::make_unique<GranularitySystem>(), options)
+                  .value();
+    const Granularity* unit = engine_->system()->AddUniform("unit", 1);
+    VariableId x0 = structure_.AddVariable("X0");
+    VariableId x1 = structure_.AddVariable("X1");
+    VariableId x2 = structure_.AddVariable("X2");
+    EXPECT_TRUE(structure_.AddConstraint(x0, x1, Tcg::Of(0, 8, unit)).ok());
+    EXPECT_TRUE(structure_.AddConstraint(x1, x2, Tcg::Of(0, 8, unit)).ok());
+    std::uint64_t state = 0x2545f4914f6cdd1dULL;
+    TimePoint t = 0;
+    for (int i = 0; i < 2000; ++i) {
+      state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+      t += 1 + static_cast<TimePoint>((state >> 33) % 2);
+      sequence_.Add(static_cast<EventTypeId>((state >> 13) % 6), t);
+    }
+    problem_.structure = &structure_;
+    problem_.reference_type = 0;
+    problem_.min_confidence = 0.35;
+  }
+
+  std::string Mine() {
+    MineRequest request;
+    request.problem = &problem_;
+    request.sequence = &sequence_;
+    Result<MineResponse> response = engine_->Mine(request);
+    return response.ok() ? FormatReport(response->report)
+                         : response.status().ToString();
+  }
+
+ private:
+  std::unique_ptr<Engine> engine_;
+  EventStructure structure_;
+  EventSequence sequence_;
+  DiscoveryProblem problem_;
+};
+
+// Two request threads mining at once on one multi-thread engine share its
+// pool: each waits its turn for the parallel scan, and both reports are
+// byte-identical to a serial engine's.
+TEST(EnginePoolTest, ConcurrentMinesOnOneEngineMatchTheSerialEngine) {
+  EngineMineFixture serial(1);
+  const std::string want = serial.Mine();
+  ASSERT_NE(want.find("cand=36/36 "), std::string::npos) << want;
+  ASSERT_NE(want.find("sol "), std::string::npos) << want;
+
+  EngineMineFixture parallel(4);
+  for (int round = 0; round < 3; ++round) {
+    std::string got[2];
+    std::atomic<int> ready{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 2; ++t) {
+      threads.emplace_back([&, t] {
+        ready.fetch_add(1);
+        while (ready.load() < 2) std::this_thread::yield();
+        got[t] = parallel.Mine();
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+    EXPECT_EQ(got[0], want) << "round " << round;
+    EXPECT_EQ(got[1], want) << "round " << round;
   }
 }
 

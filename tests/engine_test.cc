@@ -281,8 +281,8 @@ TEST(EngineTest, ParallelMineOnEnginePoolMatchesSerial) {
   auto serial = Engine::CreateGregorian();
   ASSERT_TRUE(parallel.ok());
   ASSERT_TRUE(serial.ok());
-  ASSERT_NE((*parallel)->executor(), nullptr);
-  ASSERT_EQ((*serial)->executor(), nullptr);
+  ASSERT_EQ((*parallel)->executor()->num_threads(), 4);
+  ASSERT_EQ((*serial)->executor()->num_threads(), 1);
 
   Workload workload = MakeWorkload(*(*parallel)->system(), 1212);
   Workload serial_workload = MakeWorkload(*(*serial)->system(), 1212);

@@ -326,8 +326,9 @@ std::string FilteredStreamMetrics(int threads) {
   registry.Reset();
   registry.set_enabled(true);
 
+  Executor pool(threads);
   OnlineMinerOptions options;
-  options.num_threads = threads;
+  options.executor = &pool;
   Result<OnlineMiner> miner = OnlineMiner::Create(&toy, problem, options);
   EXPECT_TRUE(miner.ok()) << miner.status();
   for (const Event& event : events) {

@@ -15,6 +15,8 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <map>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -442,9 +444,9 @@ class CheckpointTest : public testing::Test {
     problem_.allowed[2] = {0, 1, 2, 3, 4, 5};
   }
 
-  OnlineMinerOptions Options(int threads) const {
+  OnlineMinerOptions Options(int threads) {
     OnlineMinerOptions options;
-    options.num_threads = threads;
+    options.executor = Pool(threads);
     options.retention = 24;  // evictions happen during the run
     return options;
   }
@@ -456,6 +458,15 @@ class CheckpointTest : public testing::Test {
     return std::move(*miner);
   }
 
+  // One pool per thread count, alive as long as every miner the fixture
+  // makes.
+  Executor* Pool(int threads) {
+    std::unique_ptr<Executor>& pool = pools_[threads];
+    if (pool == nullptr) pool = std::make_unique<Executor>(threads);
+    return pool.get();
+  }
+
+  std::map<int, std::unique_ptr<Executor>> pools_;
   GranularitySystem toy_;
   const Granularity* unit_;
   EventStructure s_;

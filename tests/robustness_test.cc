@@ -423,8 +423,9 @@ class MinerGovernorTest : public testing::Test {
 
   MiningReport MineInjected(int threads, GovernorScope scope,
                             std::uint64_t trip, bool cancel_globally) {
+    Executor pool(threads);
     MinerOptions options;
-    options.num_threads = threads;
+    options.executor = &pool;
     options.on_exhaustion = MinerOptions::ExhaustionPolicy::kPartial;
     Miner miner(&toy_, options);
     GovernorLimits limits;
@@ -586,9 +587,10 @@ TEST_F(MinerGovernorTest, AbortPolicySurfacesTheCauseAsAnError) {
 }
 
 TEST_F(MinerGovernorTest, CancellationBeforePartialMiningLosesNothingSilently) {
+  Executor pool(4);
   MinerOptions options;
   options.on_exhaustion = MinerOptions::ExhaustionPolicy::kPartial;
-  options.num_threads = 4;
+  options.executor = &pool;
   Miner miner(&toy_, options);
   GovernorLimits limits;
   limits.check_stride = 1;

@@ -28,6 +28,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -40,6 +41,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "granmine/common/governor.h"
@@ -259,7 +261,7 @@ class ServerDifferentialTest : public ServerTest {
     WriteFile(structure_path_, kStructure);
     WriteFile(events_path_, kEvents);
     WriteFile(inconsistent_path_, kInconsistent);
-    StartServer();
+    StartServer(engine_options_);
   }
 
   // Asserts one served response against one CLI invocation: same stdout
@@ -287,6 +289,7 @@ class ServerDifferentialTest : public ServerTest {
            events_path_ + " --reference IBM-rise --confidence 0.5" + extra;
   }
 
+  EngineOptions engine_options_;
   std::string structure_path_;
   std::string events_path_;
   std::string inconsistent_path_;
@@ -732,6 +735,78 @@ TEST_F(ServerDifferentialTest, FourClientsSoakWithIdenticalResponses) {
   EXPECT_GE(srv_->frames_dispatched(),
             static_cast<std::uint64_t>(kThreads * kIterations * 3));
   EXPECT_EQ(srv_->frame_errors(), 0u);
+}
+
+// The same differential over a two-thread engine: every server worker and
+// every mine shares the engine's one pool, so two clients mining at once take
+// turns on it — and both replies stay byte-identical to the serial CLI.
+class TwoThreadServerTest : public ServerDifferentialTest {
+ protected:
+  TwoThreadServerTest() { engine_options_.num_threads = 2; }
+};
+
+TEST_F(TwoThreadServerTest, ConcurrentMinesMatchTheSerialReplies) {
+  // Twelve weeks of weekday events over six types, so the 216-candidate
+  // step-5 scan runs long enough for both requests to reach it together.
+  constexpr const char* kTypes[] = {"IBM-rise", "IBM-earnings-report",
+                                    "IBM-fall", "HP-rise",
+                                    "HP-fall",  "DEC-rise"};
+  std::string events;
+  std::uint64_t state = 0x243f6a8885a308d3ULL;
+  for (int day = 0; day < 12 * 7; ++day) {
+    if (day % 7 >= 5) continue;  // 1970-01-05 is a Monday
+    std::vector<std::pair<std::int64_t, const char*>> today;
+    for (int k = 0; k < 4; ++k) {
+      state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+      today.emplace_back((4 + day) * kSecondsPerDay + 9 * 3600 +
+                             static_cast<std::int64_t>((state >> 33) % 28800),
+                         kTypes[(state >> 13) % 6]);
+    }
+    std::sort(today.begin(), today.end());
+    for (const auto& [t, type] : today) {
+      events += std::to_string(t) + " " + type + "\n";
+    }
+  }
+  const std::string events_path = TempPath("two_thread_events.txt");
+  WriteFile(events_path, events);
+  server::MineCall call = DemoMine();
+  call.events_text = events;
+  call.confidence = "0.3";
+
+  std::vector<Response> replies(2);
+  std::vector<Status> statuses(2);
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (int c = 0; c < 2; ++c) {
+    threads.emplace_back([&, c] {
+      auto client = Client::Connect("127.0.0.1", srv_->port());
+      if (!client.ok()) {
+        statuses[c] = client.status();
+        return;
+      }
+      ready.fetch_add(1);
+      while (ready.load() < 2) std::this_thread::yield();
+      auto reply = (*client)->Mine(call);
+      statuses[c] = reply.status();
+      if (reply.ok()) replies[c] = std::move(*reply);
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  const std::string args = "mine --structure " + structure_path_ +
+                           " --events " + events_path +
+                           " --reference IBM-rise --confidence 0.3";
+  const CliRun cli = RunCli(args);
+  ASSERT_GE(cli.exit_code, 0) << "could not run " GRANMINE_CLI_BINARY;
+  for (int c = 0; c < 2; ++c) {
+    ASSERT_TRUE(statuses[c].ok()) << statuses[c].ToString();
+    ASSERT_NE(replies[c].type, FrameType::kErrorReply)
+        << replies[c].error.message;
+    EXPECT_EQ(replies[c].out, cli.out) << "client " << c;
+    EXPECT_EQ(replies[c].exit_code, cli.exit_code) << "client " << c;
+  }
+  EXPECT_NE(replies[0].out.find("candidates 216 -> 216"), std::string::npos)
+      << replies[0].out;
+  std::remove(events_path.c_str());
 }
 
 }  // namespace

@@ -127,9 +127,10 @@ class StreamPropertyTest : public testing::Test {
 
   std::string SnapshotOf(std::span<const Event> arrivals,
                          std::int64_t tolerance, int threads = 1) {
+    Executor pool(threads);
     OnlineMinerOptions options;
     options.tolerance = tolerance;
-    options.num_threads = threads;
+    options.executor = &pool;
     Result<OnlineMiner> miner = OnlineMiner::Create(&toy_, problem_, options);
     EXPECT_TRUE(miner.ok()) << miner.status();
     for (const Event& event : arrivals) {

@@ -108,8 +108,9 @@ class StreamTest : public testing::Test {
 
   MiningReport BatchMine(std::span<const Event> prefix, int threads,
                          const ResourceGovernor* governor = nullptr) {
+    Executor pool(threads);
     OnlineMinerOptions options;
-    options.num_threads = threads;
+    options.executor = &pool;
     Miner miner(&toy_, options.BatchEquivalent());
     Result<MiningReport> report =
         miner.Mine(problem_, Canonical(prefix), governor);
@@ -125,8 +126,9 @@ class StreamTest : public testing::Test {
 
   MiningReport StreamMine(std::span<const Event> prefix, int threads,
                           const ResourceGovernor* governor = nullptr) {
+    Executor pool(threads);
     OnlineMinerOptions options;
-    options.num_threads = threads;
+    options.executor = &pool;
     OnlineMiner miner = MakeStream(options);
     for (const Event& event : prefix) {
       EXPECT_TRUE(miner.Ingest(event).ok());
@@ -168,8 +170,9 @@ TEST_F(StreamTest, SnapshotIsByteIdenticalAcrossThreadCounts) {
 // One snapshot per ingested prefix from a single long-lived miner — the
 // running-snapshot use case — must equal the fresh-miner result.
 TEST_F(StreamTest, RunningSnapshotsNeverPerturbTheStream) {
+  Executor pool(2);
   OnlineMinerOptions options;
-  options.num_threads = 2;
+  options.executor = &pool;
   OnlineMiner miner = MakeStream(options);
   for (std::size_t p = 0; p < events_.size(); ++p) {
     ASSERT_TRUE(miner.Ingest(events_[p]).ok());
@@ -236,9 +239,10 @@ TEST_F(StreamTest, OutOfOrderArrivalWithinToleranceMatchesBatch) {
   }
   ASSERT_GT(tolerance, 0);  // the shuffle must be genuinely out of order
 
+  Executor pool(2);
   OnlineMinerOptions options;
   options.tolerance = tolerance;
-  options.num_threads = 2;
+  options.executor = &pool;
   OnlineMiner miner = MakeStream(options);
   for (const Event& event : shuffled) {
     ASSERT_TRUE(miner.Ingest(event).ok());

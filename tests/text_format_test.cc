@@ -215,5 +215,46 @@ TEST_F(TextFormatTest, FormatTimePointRoundTrip) {
   EXPECT_EQ(FormatTimePoint(*parsed), "2001-09-09 Sun 01:46:40");
 }
 
+// Whatever FormatTimePoint writes — weekday included — parses back to the
+// same instant, on second-based and day-grained calendars alike.
+TEST_F(TextFormatTest, FormattedTimePointsParseBack) {
+  for (TimePoint t : {TimePoint{0}, TimePoint{4 * kSecondsPerDay + 36000},
+                      TimePoint{1000000000}, TimePoint{-1}}) {
+    auto parsed = ParseTimePoint(FormatTimePoint(t));
+    ASSERT_TRUE(parsed.ok()) << FormatTimePoint(t) << ": " << parsed.status();
+    EXPECT_EQ(*parsed, t) << FormatTimePoint(t);
+  }
+  for (TimePoint t : {TimePoint{0}, TimePoint{2}, TimePoint{11574},
+                      TimePoint{-3}}) {
+    auto parsed = ParseTimePoint(FormatTimePoint(t, 1), 1);
+    ASSERT_TRUE(parsed.ok()) << FormatTimePoint(t, 1) << ": "
+                             << parsed.status();
+    EXPECT_EQ(*parsed, t) << FormatTimePoint(t, 1);
+  }
+  auto with_weekday = ParseTimePoint("1970-01-05 Mon 10:00:00");
+  ASSERT_TRUE(with_weekday.ok()) << with_weekday.status();
+  EXPECT_EQ(*with_weekday, 4 * kSecondsPerDay + 10 * 3600);
+}
+
+TEST_F(TextFormatTest, RejectsAMismatchedWeekday) {
+  auto wrong = ParseTimePoint("1970-01-05 Tue 10:00:00");
+  ASSERT_FALSE(wrong.ok());
+  EXPECT_EQ(wrong.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(ParseTimePoint("1970-01-03 Fri", 1).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_FALSE(ParseTimePoint("1970-01-05 Monday 10:00:00").ok());
+}
+
+// Text the parser does not consume is an error, never silently midnight.
+TEST_F(TextFormatTest, RejectsUnconsumedTimeText) {
+  for (const char* text :
+       {"1970-01-05 10:00", "1970-01-05 10", "1970-01-05 10:00:00 extra",
+        "1970-01-05 Mon 10:00", "1970-01-05x", "1970-01-05 10:00:00:00"}) {
+    auto parsed = ParseTimePoint(text);
+    ASSERT_FALSE(parsed.ok()) << text << " parsed as " << *parsed;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << text;
+  }
+}
+
 }  // namespace
 }  // namespace granmine
