@@ -3,7 +3,8 @@
 //  (a) the frame codec is not the bottleneck — AppendFrame (header build +
 //      CRC32C over header and payload) and FrameParser::Feed/Next move
 //      bytes far faster than a loopback socket can deliver them, across
-//      payload sizes and even under pathologically torn delivery;
+//      payload sizes up to a 400 KiB mine frame and even under
+//      pathologically torn delivery; BM_Crc32c isolates the checksum;
 //  (b) a loopback round trip through the full stack (client encode →
 //      poll loop → worker dispatch → service render → reply frame) costs
 //      tens of microseconds for a ping and stays request-bound, not
@@ -20,6 +21,7 @@
 #include <vector>
 
 #include "granmine/engine/engine.h"
+#include "granmine/persist/crc32c.h"
 #include "granmine/server/client.h"
 #include "granmine/server/server.h"
 #include "granmine/server/wire.h"
@@ -71,7 +73,25 @@ void BM_ServerWire_ParseFrame(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(wire.size()));
 }
-BENCHMARK(BM_ServerWire_ParseFrame)->Arg(64)->Arg(4096)->Arg(65536);
+// 400 KiB is a 10^4-event §5 mine request, the largest frame mine_batch
+// sends.
+BENCHMARK(BM_ServerWire_ParseFrame)
+    ->Arg(64)
+    ->Arg(4096)
+    ->Arg(65536)
+    ->Arg(400 * 1024);
+
+// CRC32C over one contiguous span: a small frame header-plus-payload, a
+// stream-ingest sized frame, and a large mine frame.
+void BM_Crc32c(benchmark::State& state) {
+  const auto payload = Payload(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(persist::Crc32c(payload));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_Crc32c)->Arg(64)->Arg(4096)->Arg(1 << 20);
 
 // Worst-case reassembly: the same frame delivered in 16-byte slices, the
 // shape a drip-feeding peer or a tiny SO_RCVBUF produces.

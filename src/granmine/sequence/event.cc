@@ -5,7 +5,7 @@
 namespace granmine {
 
 EventTypeId EventTypeRegistry::Intern(std::string_view name) {
-  auto it = ids_.find(std::string(name));
+  auto it = ids_.find(name);
   if (it != ids_.end()) return it->second;
   EventTypeId id = static_cast<EventTypeId>(names_.size());
   names_.emplace_back(name);
@@ -15,7 +15,7 @@ EventTypeId EventTypeRegistry::Intern(std::string_view name) {
 
 std::optional<EventTypeId> EventTypeRegistry::Find(
     std::string_view name) const {
-  auto it = ids_.find(std::string(name));
+  auto it = ids_.find(name);
   if (it == ids_.end()) return std::nullopt;
   return it->second;
 }

@@ -1,6 +1,7 @@
 #ifndef GRANMINE_SEQUENCE_EVENT_H_
 #define GRANMINE_SEQUENCE_EVENT_H_
 
+#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -36,8 +37,18 @@ class EventTypeRegistry {
   int size() const { return static_cast<int>(names_.size()); }
 
  private:
+  // Transparent hash + std::equal_to<> let Intern / Find look up by
+  // string_view: parsing an event line allocates no key string.
+  struct NameHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view name) const {
+      return std::hash<std::string_view>{}(name);
+    }
+  };
+
   std::vector<std::string> names_;
-  std::unordered_map<std::string, EventTypeId> ids_;
+  std::unordered_map<std::string, EventTypeId, NameHash, std::equal_to<>>
+      ids_;
 };
 
 }  // namespace granmine

@@ -9,25 +9,7 @@
 #include <cerrno>
 #include <cstring>
 
-#include "granmine/persist/crc32c.h"
-
 namespace granmine::server {
-
-namespace {
-
-std::uint32_t GetU32Le(const std::uint8_t* in) {
-  return static_cast<std::uint32_t>(in[0]) |
-         static_cast<std::uint32_t>(in[1]) << 8 |
-         static_cast<std::uint32_t>(in[2]) << 16 |
-         static_cast<std::uint32_t>(in[3]) << 24;
-}
-
-std::uint64_t GetU64Le(const std::uint8_t* in) {
-  return static_cast<std::uint64_t>(GetU32Le(in)) |
-         static_cast<std::uint64_t>(GetU32Le(in + 4)) << 32;
-}
-
-}  // namespace
 
 Result<std::unique_ptr<Client>> Client::Connect(const std::string& host,
                                                 std::uint16_t port) {
@@ -99,26 +81,20 @@ Status Client::ReadExact(std::span<std::uint8_t> out) {
 }
 
 Result<Frame> Client::ReadFrame() {
-  std::uint8_t header[kFrameHeaderSize];
-  GM_RETURN_NOT_OK(ReadExact(header));
+  std::uint8_t header_bytes[kFrameHeaderSize];
+  GM_RETURN_NOT_OK(ReadExact(header_bytes));
+  GM_ASSIGN_OR_RETURN(
+      FrameHeader header,
+      DecodeFrameHeader(header_bytes, kMaxPayloadBytes, read_offset_));
   Frame frame;
-  frame.type = static_cast<FrameType>(GetU32Le(header));
-  frame.flags = GetU32Le(header + 4);
-  frame.corr_id = GetU64Le(header + 8);
-  const std::uint64_t payload_len = GetU64Le(header + 16);
-  if (payload_len > kMaxPayloadBytes) {
-    return Status::Invalid("reply payload length " +
-                           std::to_string(payload_len) + " exceeds the " +
-                           std::to_string(kMaxPayloadBytes) + "-byte bound");
-  }
-  frame.payload.resize(static_cast<std::size_t>(payload_len));
+  frame.type = header.type;
+  frame.flags = header.flags;
+  frame.corr_id = header.corr_id;
+  frame.payload.resize(static_cast<std::size_t>(header.payload_len));
   GM_RETURN_NOT_OK(ReadExact(frame.payload));
-  std::uint32_t crc = persist::ExtendCrc32c(
-      persist::kCrc32cInit, std::span<const std::uint8_t>(header, 24));
-  crc = persist::ExtendCrc32c(crc, frame.payload);
-  if (crc != GetU32Le(header + 24)) {
-    return Status::Invalid("reply frame CRC mismatch");
-  }
+  GM_RETURN_NOT_OK(
+      VerifyFrameCrc(header_bytes, header, frame.payload, read_offset_));
+  read_offset_ += kFrameHeaderSize + frame.payload.size();
   return frame;
 }
 

@@ -68,6 +68,9 @@ class Client {
 
   int fd_ = -1;
   std::uint64_t next_corr_ = 0;
+  /// Absolute offset of the next reply frame in the server's byte stream
+  /// (after the preamble), named in framing errors like the server does.
+  std::uint64_t read_offset_ = 0;
 };
 
 }  // namespace granmine::server

@@ -6,6 +6,7 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -19,7 +20,6 @@
 #include <thread>
 #include <vector>
 
-#include "granmine/common/ring_buffer.h"
 #include "granmine/engine/admission.h"
 #include "granmine/engine/engine.h"
 #include "granmine/engine/statusz.h"
@@ -80,6 +80,11 @@ bool IsDispatchableRequest(FrameType type) {
   }
 }
 
+/// Smallest recv() into a connection's intake buffer (a buffer grown by a
+/// large frame offers all of its free space). One page: a connection that
+/// only sends small frames keeps a buffer about their size.
+constexpr std::size_t kReadChunk = 4096;
+
 }  // namespace
 
 struct Server::Impl {
@@ -94,7 +99,19 @@ struct Server::Impl {
     bool preamble_ok = false;
 
     // Cross-thread state — guarded by Impl::mu_.
-    RingBuffer<std::uint8_t> outbox;
+    //
+    // The outbox holds whole encoded frames. Workers push_back; only the
+    // loop thread pops and advances send_offset. std::deque::push_back
+    // keeps references to existing elements valid, so the loop thread may
+    // sendmsg() from frames it gathered under the lock after releasing it.
+    std::deque<std::vector<std::uint8_t>> outbox;
+    std::size_t send_offset = 0;   ///< bytes of outbox.front() already sent
+    std::size_t outbox_bytes = 0;  ///< queued bytes not yet sent
+    /// A sent frame's storage, handed to the next worker reply on this
+    /// connection: in steady state one buffer cycles between the worker
+    /// and the loop thread instead of being allocated by one thread and
+    /// freed by the other.
+    std::vector<std::uint8_t> spare;
     std::deque<std::pair<Frame, std::uint64_t>> pending;  // frame, request id
     bool busy = false;   ///< one dispatched frame in flight on a worker
     bool fatal = false;  ///< protocol error: flush the error frame, close
@@ -156,10 +173,11 @@ struct Server::Impl {
     [[maybe_unused]] ssize_t n = ::write(wake_w_, &byte, 1);
   }
 
-  void EnqueueBytesLocked(Connection* conn,
-                          const std::vector<std::uint8_t>& bytes) {
-    for (std::uint8_t b : bytes) conn->outbox.push_back(b);
-    if (conn->outbox.size() > options_.max_outbox_bytes && !conn->dead) {
+  /// Queues one encoded frame (or the preamble): O(1), the bytes move in.
+  void EnqueueLocked(Connection* conn, std::vector<std::uint8_t> bytes) {
+    conn->outbox_bytes += bytes.size();
+    conn->outbox.push_back(std::move(bytes));
+    if (conn->outbox_bytes > options_.max_outbox_bytes && !conn->dead) {
       // A peer that pipelines requests but never drains its replies: drop
       // the connection rather than buffer without bound. No error frame —
       // the outbox is exactly what the peer has stopped reading.
@@ -173,7 +191,7 @@ struct Server::Impl {
     std::vector<std::uint8_t> bytes;
     AppendFrame(&bytes, type, corr_id, payload);
     std::lock_guard<std::mutex> lock(mu_);
-    EnqueueBytesLocked(conn, bytes);
+    EnqueueLocked(conn, std::move(bytes));
   }
 
   /// A serving-layer error frame. `fatal` additionally poisons the
@@ -183,7 +201,7 @@ struct Server::Impl {
     std::vector<std::uint8_t> bytes;
     AppendErrorFrame(&bytes, corr_id, status, retryable, backoff_ms, fatal);
     std::lock_guard<std::mutex> lock(mu_);
-    EnqueueBytesLocked(conn, bytes);
+    EnqueueLocked(conn, std::move(bytes));
     if (fatal) conn->fatal = true;
   }
 
@@ -353,7 +371,7 @@ struct Server::Impl {
       AppendPreamble(&hello);
       {
         std::lock_guard<std::mutex> lock(mu_);
-        EnqueueBytesLocked(conn.get(), hello);
+        EnqueueLocked(conn.get(), std::move(hello));
       }
       GM_LOG(obs::LogLevel::kDebug, "server", "connection accepted",
              {"conn", std::to_string(conn->id)});
@@ -365,32 +383,32 @@ struct Server::Impl {
   }
 
   void ReadFrom(Connection* conn) {
-    std::uint8_t buf[16384];
     while (true) {
-      const ssize_t n = ::read(conn->fd, buf, sizeof(buf));
+      // recv() lands straight in the preamble slot, then in the parser's
+      // intake buffer: no bounce buffer, no per-byte copy.
+      const std::span<std::uint8_t> into =
+          conn->preamble_ok
+              ? conn->parser.Tail(kReadChunk)
+              : std::span<std::uint8_t>(conn->preamble + conn->preamble_got,
+                                        kPreambleSize - conn->preamble_got);
+      const ssize_t n = ::recv(conn->fd, into.data(), into.size(), 0);
       if (n > 0) {
         GM_COUNTER_ADD("granmine_server_bytes_read_total", "", n);
-        std::size_t offset = 0;
-        if (!conn->preamble_ok) {
-          while (conn->preamble_got < kPreambleSize &&
-                 offset < static_cast<std::size_t>(n)) {
-            conn->preamble[conn->preamble_got++] = buf[offset++];
-          }
-          if (conn->preamble_got == kPreambleSize) {
-            Status status = CheckPreamble(
-                std::span<const std::uint8_t>(conn->preamble, kPreambleSize));
-            if (!status.ok()) {
-              NoteFrameError("preamble");
-              SendError(conn, 0, status, /*retryable=*/false, 0,
-                        /*fatal=*/true);
-              return;
-            }
-            conn->preamble_ok = true;
-          }
+        if (conn->preamble_ok) {
+          conn->parser.Commit(static_cast<std::size_t>(n));
+          continue;
         }
-        if (offset < static_cast<std::size_t>(n)) {
-          conn->parser.Feed(std::span<const std::uint8_t>(
-              buf + offset, static_cast<std::size_t>(n) - offset));
+        conn->preamble_got += static_cast<std::size_t>(n);
+        if (conn->preamble_got == kPreambleSize) {
+          Status status = CheckPreamble(
+              std::span<const std::uint8_t>(conn->preamble, kPreambleSize));
+          if (!status.ok()) {
+            NoteFrameError("preamble");
+            SendError(conn, 0, status, /*retryable=*/false, 0,
+                      /*fatal=*/true);
+            return;
+          }
+          conn->preamble_ok = true;
         }
         continue;
       }
@@ -484,23 +502,38 @@ struct Server::Impl {
     conn->dead = true;
   }
 
+  /// Sends the outbox with gathered writes straight from the queued
+  /// frames. The lock is held only to gather the iovecs and to pop what the
+  /// kernel took; the send itself runs unlocked (see Connection::outbox).
   void FlushTo(Connection* conn) {
-    std::uint8_t buf[16384];
+    constexpr std::size_t kMaxIov = 64;
+    iovec iov[kMaxIov];
     while (true) {
+      std::size_t count = 0;
       std::size_t staged = 0;
       {
         std::lock_guard<std::mutex> lock(mu_);
-        staged = std::min(conn->outbox.size(), sizeof(buf));
-        for (std::size_t i = 0; i < staged; ++i) buf[i] = conn->outbox[i];
+        std::size_t skip = conn->send_offset;
+        for (std::vector<std::uint8_t>& frame : conn->outbox) {
+          if (count == kMaxIov) break;
+          iov[count].iov_base = frame.data() + skip;
+          iov[count].iov_len = frame.size() - skip;
+          staged += iov[count].iov_len;
+          ++count;
+          skip = 0;
+        }
       }
       if (staged == 0) return;
+      msghdr msg{};
+      msg.msg_iov = iov;
+      msg.msg_iovlen = count;
       // MSG_NOSIGNAL: a peer that closed with replies still queued must
       // surface as EPIPE here, not as a process-killing SIGPIPE.
-      const ssize_t written = ::send(conn->fd, buf, staged, MSG_NOSIGNAL);
+      const ssize_t written = ::sendmsg(conn->fd, &msg, MSG_NOSIGNAL);
       if (written > 0) {
         GM_COUNTER_ADD("granmine_server_bytes_written_total", "", written);
         std::lock_guard<std::mutex> lock(mu_);
-        for (ssize_t i = 0; i < written; ++i) conn->outbox.pop_front();
+        PopSentLocked(conn, static_cast<std::size_t>(written));
         if (static_cast<std::size_t>(written) < staged) return;
         continue;
       }
@@ -508,6 +541,25 @@ struct Server::Impl {
       if (written < 0 && errno == EINTR) continue;
       MarkDead(conn);
       return;
+    }
+  }
+
+  /// Retires `sent` bytes from the front of the outbox. Loop thread only.
+  void PopSentLocked(Connection* conn, std::size_t sent) {
+    conn->outbox_bytes -= sent;
+    while (sent > 0) {
+      const std::size_t left = conn->outbox.front().size() - conn->send_offset;
+      if (sent < left) {
+        conn->send_offset += sent;
+        return;
+      }
+      sent -= left;
+      conn->send_offset = 0;
+      if (conn->outbox.front().capacity() > conn->spare.capacity()) {
+        conn->outbox.front().clear();
+        conn->spare.swap(conn->outbox.front());
+      }
+      conn->outbox.pop_front();
     }
   }
 
@@ -552,21 +604,23 @@ struct Server::Impl {
   void WorkerThread() {
     while (true) {
       Job job;
+      std::vector<std::uint8_t> response;
       {
         std::unique_lock<std::mutex> lock(mu_);
         job_cv_.wait(lock, [this] { return stop_ || !jobs_.empty(); });
         if (jobs_.empty()) return;  // stop_ set and queue drained
         job = std::move(jobs_.front());
         jobs_.pop_front();
+        response.swap(job.conn->spare);
       }
       GM_GAUGE_SET("granmine_server_inflight", "",
                    inflight_.fetch_add(1, std::memory_order_relaxed) + 1);
-      std::vector<std::uint8_t> response = Dispatch(job);
+      Dispatch(job, &response);
       GM_GAUGE_SET("granmine_server_inflight", "",
                    inflight_.fetch_sub(1, std::memory_order_relaxed) - 1);
       {
         std::lock_guard<std::mutex> lock(mu_);
-        EnqueueBytesLocked(job.conn, response);
+        EnqueueLocked(job.conn, std::move(response));
         job.conn->busy = false;
         ScheduleLocked(job.conn);
       }
@@ -574,71 +628,71 @@ struct Server::Impl {
     }
   }
 
-  std::vector<std::uint8_t> Dispatch(Job& job) {
+  /// Appends the reply frame for `job` to `out`.
+  void Dispatch(Job& job, std::vector<std::uint8_t>* out) {
     obs::RequestScope scope(job.request_id);
     GM_TRACE_SPAN("server_dispatch");
     dispatched_.fetch_add(1, std::memory_order_relaxed);
     NoteRequestMetric(job.frame.type);
     const std::uint64_t corr = job.frame.corr_id;
-    std::vector<std::uint8_t> out;
     switch (job.frame.type) {
       case FrameType::kMine: {
         MineCall call;
         if (Status st = DecodeMineCall(job.frame.payload, &call); !st.ok()) {
-          return EncodeDecodeError(corr, st);
+          return AppendDecodeError(corr, st, out);
         }
-        return FinishCall(corr, ServeMine(engine_, call));
+        return FinishCall(corr, ServeMine(engine_, call), out);
       }
       case FrameType::kCheck: {
         CheckCall call;
         if (Status st = DecodeCheckCall(job.frame.payload, &call); !st.ok()) {
-          return EncodeDecodeError(corr, st);
+          return AppendDecodeError(corr, st, out);
         }
-        return FinishCall(corr, ServeCheck(engine_, call));
+        return FinishCall(corr, ServeCheck(engine_, call), out);
       }
       case FrameType::kDot: {
         DotCall call;
         if (Status st = DecodeDotCall(job.frame.payload, &call); !st.ok()) {
-          return EncodeDecodeError(corr, st);
+          return AppendDecodeError(corr, st, out);
         }
-        return FinishCall(corr, ServeDot(engine_, call));
+        return FinishCall(corr, ServeDot(engine_, call), out);
       }
       case FrameType::kStatusz: {
         ReplyBody reply;
         reply.out = RenderStatuszJson(engine_->Statusz()) + "\n";
-        AppendFrame(&out, FrameType::kReply, corr, EncodeReply(reply));
-        return out;
+        AppendFrame(out, FrameType::kReply, corr, EncodeReply(reply));
+        return;
       }
       case FrameType::kStreamOpen: {
         if (job.conn->stream != nullptr) {
-          AppendErrorFrame(&out, corr,
+          AppendErrorFrame(out, corr,
                            Status::Invalid(
                                "a stream session is already open on this "
                                "connection (seal it first)"),
                            false, 0, false);
-          return out;
+          return;
         }
         StreamOpenCall call;
         if (Status st = DecodeStreamOpenCall(job.frame.payload, &call);
             !st.ok()) {
-          return EncodeDecodeError(corr, st);
+          return AppendDecodeError(corr, st, out);
         }
         auto opened = StreamSession::Open(engine_, call);
         if (opened.session == nullptr) {
-          return FinishCall(corr, std::move(opened.result));
+          return FinishCall(corr, std::move(opened.result), out);
         }
         job.conn->stream = std::move(opened.session);
-        AppendFrame(&out, FrameType::kReply, corr,
+        AppendFrame(out, FrameType::kReply, corr,
                     EncodeReply(ReplyBody{}));
-        return out;
+        return;
       }
       case FrameType::kStreamIngest: {
         if (job.conn->stream == nullptr) {
-          AppendErrorFrame(&out, corr,
+          AppendErrorFrame(out, corr,
                            Status::Invalid("no open stream session on this "
                                            "connection"),
                            false, 0, false);
-          return out;
+          return;
         }
         const std::string_view chunk(
             reinterpret_cast<const char*>(job.frame.payload.data()),
@@ -653,16 +707,16 @@ struct Server::Impl {
         // A failing chunk (parse error, snapshot failure) ends the session,
         // like end-of-run in the CLI; the ack carries the exit code.
         if (ack.exit_code != 0) job.conn->stream.reset();
-        AppendFrame(&out, FrameType::kStreamAck, corr, EncodeStreamAck(ack));
-        return out;
+        AppendFrame(out, FrameType::kStreamAck, corr, EncodeStreamAck(ack));
+        return;
       }
       case FrameType::kStreamSeal: {
         if (job.conn->stream == nullptr) {
-          AppendErrorFrame(&out, corr,
+          AppendErrorFrame(out, corr,
                            Status::Invalid("no open stream session on this "
                                            "connection"),
                            false, 0, false);
-          return out;
+          return;
         }
         StreamSession* session = job.conn->stream.get();
         CallResult sealed = session->Seal();
@@ -674,15 +728,15 @@ struct Server::Impl {
         ack.out = std::move(sealed.out);
         ack.err = std::move(sealed.err);
         job.conn->stream.reset();
-        AppendFrame(&out, FrameType::kStreamAck, corr, EncodeStreamAck(ack));
-        return out;
+        AppendFrame(out, FrameType::kStreamAck, corr, EncodeStreamAck(ack));
+        return;
       }
       default:
         // Unreachable: ParseFrames only enqueues dispatchable types.
-        AppendErrorFrame(&out, corr,
+        AppendErrorFrame(out, corr,
                          Status::Internal("undispatchable frame type"), false,
                          0, false);
-        return out;
+        return;
     }
   }
 
@@ -698,36 +752,33 @@ struct Server::Impl {
     AppendFrame(out, FrameType::kErrorReply, corr, EncodeError(error));
   }
 
-  std::vector<std::uint8_t> EncodeDecodeError(std::uint64_t corr,
-                                              const Status& status) {
+  void AppendDecodeError(std::uint64_t corr, const Status& status,
+                         std::vector<std::uint8_t>* out) {
     // A CRC-valid frame with a malformed payload is a client codec bug, not
     // a stream desync: report it, keep the connection.
     NoteFrameError("decode");
-    std::vector<std::uint8_t> out;
-    AppendErrorFrame(&out, corr, status, false, 0, false);
-    return out;
+    AppendErrorFrame(out, corr, status, false, 0, false);
   }
 
-  std::vector<std::uint8_t> FinishCall(std::uint64_t corr, CallResult result) {
-    std::vector<std::uint8_t> out;
+  void FinishCall(std::uint64_t corr, CallResult result,
+                  std::vector<std::uint8_t>* out) {
     double backoff_ms = 0;
     if (!result.engine_status.ok() &&
         IsRetryableShed(result.engine_status, &backoff_ms)) {
       // The PR 7 retry contract on the wire: shed ⇒ retryable error frame
       // carrying the reason and the suggested backoff.
       GM_COUNTER_ADD("granmine_server_sheds_total", "", 1);
-      AppendErrorFrame(&out, corr, result.engine_status, /*retryable=*/true,
+      AppendErrorFrame(out, corr, result.engine_status, /*retryable=*/true,
                        static_cast<std::uint64_t>(std::llround(backoff_ms)),
                        /*fatal=*/false);
-      return out;
+      return;
     }
     ReplyBody reply;
     reply.exit_code = result.exit_code;
     reply.out = std::move(result.out);
     reply.err = std::move(result.err);
     reply.diag = std::move(result.diag);
-    AppendFrame(&out, FrameType::kReply, corr, EncodeReply(reply));
-    return out;
+    AppendFrame(out, FrameType::kReply, corr, EncodeReply(reply));
   }
 };
 

@@ -4,7 +4,7 @@
 // The granmine network serving layer: a long-lived TCP server owning one
 // Engine, speaking the framed wire protocol of server/wire.h
 // (docs/serving.md). One poll-based event loop thread owns every socket and
-// the per-connection ring buffers; frames parse incrementally as bytes
+// the per-connection intake buffers; frames parse incrementally as bytes
 // arrive and dispatch to a small worker pool, so a slow mine on one
 // connection never blocks another connection's reads or writes. Each
 // connection's requests run strictly in order, one at a time — that is

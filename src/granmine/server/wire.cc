@@ -1,5 +1,7 @@
 #include "granmine/server/wire.h"
 
+#include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "granmine/persist/crc32c.h"
@@ -100,41 +102,95 @@ void AppendFrame(std::vector<std::uint8_t>* out, FrameType type,
   out->insert(out->end(), payload.begin(), payload.end());
 }
 
-Result<std::optional<Frame>> FrameParser::Next() {
-  if (buffer_.size() < kFrameHeaderSize) return std::optional<Frame>{};
-  std::uint8_t header[kFrameHeaderSize];
-  for (std::size_t i = 0; i < kFrameHeaderSize; ++i) header[i] = buffer_[i];
-  const std::uint64_t payload_len = GetU64Le(header + 16);
-  if (payload_len > max_payload_) {
+Result<FrameHeader> DecodeFrameHeader(
+    std::span<const std::uint8_t, kFrameHeaderSize> bytes,
+    std::uint64_t max_payload, std::uint64_t offset) {
+  FrameHeader header;
+  header.type = static_cast<FrameType>(GetU32Le(bytes.data()));
+  header.flags = GetU32Le(bytes.data() + 4);
+  header.corr_id = GetU64Le(bytes.data() + 8);
+  header.payload_len = GetU64Le(bytes.data() + 16);
+  header.stored_crc = GetU32Le(bytes.data() + 24);
+  if (header.payload_len > max_payload) {
     return Status::Invalid(
-        "frame at offset " + std::to_string(consumed_) +
-        ": payload length " + std::to_string(payload_len) +
-        " exceeds the " + std::to_string(max_payload_) + "-byte bound");
+        "frame at offset " + std::to_string(offset) + ": payload length " +
+        std::to_string(header.payload_len) + " exceeds the " +
+        std::to_string(max_payload) + "-byte bound");
   }
-  if (buffer_.size() < kFrameHeaderSize + payload_len) {
+  return header;
+}
+
+Status VerifyFrameCrc(std::span<const std::uint8_t, kFrameHeaderSize> bytes,
+                      const FrameHeader& header,
+                      std::span<const std::uint8_t> payload,
+                      std::uint64_t offset) {
+  std::uint32_t crc =
+      persist::ExtendCrc32c(persist::kCrc32cInit, bytes.first<24>());
+  crc = persist::ExtendCrc32c(crc, payload);
+  if (crc != header.stored_crc) {
+    return Status::Invalid("frame at offset " + std::to_string(offset) +
+                           ": CRC mismatch (stored " +
+                           std::to_string(header.stored_crc) + ", computed " +
+                           std::to_string(crc) + ")");
+  }
+  return Status::OK();
+}
+
+void FrameParser::Feed(std::span<const std::uint8_t> bytes) {
+  if (bytes.empty()) return;
+  std::memcpy(Tail(bytes.size()).data(), bytes.data(), bytes.size());
+  Commit(bytes.size());
+}
+
+std::span<std::uint8_t> FrameParser::Tail(std::size_t min_bytes) {
+  // The buffer grows only as bytes actually arrive — never from a header's
+  // declared length — so a peer cannot reserve memory it does not send.
+  if (buffer_.size() - end_ < min_bytes) {
+    if (begin_ > 0 && 2 * begin_ >= end_) {
+      // The consumed prefix is at least half the filled buffer, so the
+      // unconsumed suffix is no longer than it: moving the suffix costs at
+      // most one byte moved per byte consumed since the last compaction.
+      std::memmove(buffer_.data(), buffer_.data() + begin_, buffered());
+      end_ -= begin_;
+      begin_ = 0;
+    }
+    if (buffer_.size() - end_ < min_bytes) {
+      // Power-of-two capacities at least double on every growth, which
+      // keeps a burst of pipelined frames amortised O(1) per byte and the
+      // buffer under twice the most it ever held. Growing copies the
+      // unconsumed bytes once anyway, so only those are copied.
+      std::vector<std::uint8_t> grown(std::bit_ceil(buffered() + min_bytes));
+      std::copy_n(buffer_.data() + begin_, buffered(), grown.data());
+      end_ = buffered();
+      begin_ = 0;
+      buffer_.swap(grown);
+    }
+  }
+  return {buffer_.data() + end_, buffer_.size() - end_};
+}
+
+Result<std::optional<Frame>> FrameParser::Next() {
+  if (buffered() < kFrameHeaderSize) return std::optional<Frame>{};
+  const std::span<const std::uint8_t> data(buffer_.data() + begin_,
+                                           buffered());
+  const auto header_bytes = data.first<kFrameHeaderSize>();
+  GM_ASSIGN_OR_RETURN(FrameHeader header,
+                      DecodeFrameHeader(header_bytes, max_payload_, consumed_));
+  if (data.size() - kFrameHeaderSize < header.payload_len) {
     return std::optional<Frame>{};
   }
+  const auto payload = data.subspan(
+      kFrameHeaderSize, static_cast<std::size_t>(header.payload_len));
+  GM_RETURN_NOT_OK(VerifyFrameCrc(header_bytes, header, payload, consumed_));
   Frame frame;
-  frame.type = static_cast<FrameType>(GetU32Le(header));
-  frame.flags = GetU32Le(header + 4);
-  frame.corr_id = GetU64Le(header + 8);
-  frame.payload.resize(static_cast<std::size_t>(payload_len));
-  for (std::size_t i = 0; i < frame.payload.size(); ++i) {
-    frame.payload[i] = buffer_[kFrameHeaderSize + i];
-  }
-  std::uint32_t crc = persist::ExtendCrc32c(
-      persist::kCrc32cInit, std::span<const std::uint8_t>(header, 24));
-  crc = persist::ExtendCrc32c(crc, frame.payload);
-  const std::uint32_t stored = GetU32Le(header + 24);
-  if (crc != stored) {
-    return Status::Invalid("frame at offset " + std::to_string(consumed_) +
-                           ": CRC mismatch (stored " + std::to_string(stored) +
-                           ", computed " + std::to_string(crc) + ")");
-  }
-  for (std::size_t i = 0; i < kFrameHeaderSize + frame.payload.size(); ++i) {
-    buffer_.pop_front();
-  }
-  consumed_ += kFrameHeaderSize + frame.payload.size();
+  frame.type = header.type;
+  frame.flags = header.flags;
+  frame.corr_id = header.corr_id;
+  frame.payload.assign(payload.begin(), payload.end());
+  const std::size_t frame_size = kFrameHeaderSize + payload.size();
+  begin_ += frame_size;
+  consumed_ += frame_size;
+  if (begin_ == end_) begin_ = end_ = 0;
   return std::optional<Frame>{std::move(frame)};
 }
 

@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "granmine/common/result.h"
-#include "granmine/common/ring_buffer.h"
 #include "granmine/persist/snapshot.h"
 
 namespace granmine::server {
@@ -76,32 +75,73 @@ Status CheckPreamble(std::span<const std::uint8_t> bytes);
 void AppendFrame(std::vector<std::uint8_t>* out, FrameType type,
                  std::uint64_t corr_id, std::span<const std::uint8_t> payload);
 
+/// A decoded frame header (the CRC is checked separately, once the payload
+/// has arrived).
+struct FrameHeader {
+  FrameType type = FrameType::kPing;
+  std::uint32_t flags = 0;
+  std::uint64_t corr_id = 0;
+  std::uint64_t payload_len = 0;
+  std::uint32_t stored_crc = 0;
+};
+
+/// Decodes the 28 header bytes of the frame at absolute stream offset
+/// `offset` and checks the declared payload length against `max_payload`.
+/// Callers run this before they wait for the payload, so a desynchronized
+/// stream fails fast instead of turning into an allocation request. Both
+/// the server's FrameParser and the blocking Client validate through it.
+Result<FrameHeader> DecodeFrameHeader(
+    std::span<const std::uint8_t, kFrameHeaderSize> bytes,
+    std::uint64_t max_payload, std::uint64_t offset);
+
+/// Checks `header.stored_crc` against the CRC32C of the first 24 header
+/// bytes plus the payload; a mismatch names `offset`.
+Status VerifyFrameCrc(std::span<const std::uint8_t, kFrameHeaderSize> bytes,
+                      const FrameHeader& header,
+                      std::span<const std::uint8_t> payload,
+                      std::uint64_t offset);
+
 /// Incremental frame parser over a connection's receive buffer. Bytes are
 /// fed in whatever fragments the transport delivers (down to one byte at a
 /// time); `Next()` yields a frame exactly when a complete, CRC-valid one is
 /// buffered. Any error (oversized length, CRC mismatch) is a protocol
 /// error: the stream offset is unrecoverable and the connection must be
 /// torn down.
+///
+/// The intake buffer is one contiguous vector plus a read offset: the
+/// header decode, the CRC and the payload copy each run over a contiguous
+/// span. The unconsumed bytes move to the front only when more room is
+/// needed and the consumed prefix is at least half of the filled buffer, so
+/// each byte is moved at most once per byte consumed — O(1) amortised. The
+/// buffer grows in powers of two as bytes arrive and keeps its capacity.
 class FrameParser {
  public:
   explicit FrameParser(std::uint64_t max_payload = kMaxPayloadBytes)
       : max_payload_(max_payload) {}
 
-  void Feed(std::span<const std::uint8_t> bytes) {
-    for (std::uint8_t b : bytes) buffer_.push_back(b);
-  }
+  /// Appends `bytes` to the buffer (one copy).
+  void Feed(std::span<const std::uint8_t> bytes);
+
+  /// At least `min_bytes` of writable space directly after the buffered
+  /// bytes, so a transport can recv() straight into the parser. Commit(n),
+  /// called before any other member, then appends the first n of them
+  /// (n ≤ the span's size).
+  std::span<std::uint8_t> Tail(std::size_t min_bytes);
+  void Commit(std::size_t n) { end_ += n; }
 
   /// One complete frame if buffered, std::nullopt if more bytes are needed,
   /// or a Status naming the absolute stream offset of the corruption.
   Result<std::optional<Frame>> Next();
 
   /// Bytes buffered but not yet consumed as frames.
-  std::size_t buffered() const { return buffer_.size(); }
+  std::size_t buffered() const { return end_ - begin_; }
   /// Absolute offset of the next frame boundary in the byte stream.
   std::uint64_t consumed() const { return consumed_; }
 
  private:
-  RingBuffer<std::uint8_t> buffer_;
+  std::vector<std::uint8_t> buffer_;  ///< [begin_, end_) is unconsumed
+  std::size_t begin_ = 0;
+  std::size_t end_ = 0;
   std::uint64_t max_payload_;
   std::uint64_t consumed_ = 0;
 };

@@ -1,5 +1,8 @@
 // The persistence subsystem's contract suite (docs/persistence.md):
 //
+//  - CRC32C: RFC 3720 known answers; the dispatched (hardware where
+//    available) path equals the portable one at every length, alignment
+//    and chained split;
 //  - container: header/section/trailer framing roundtrips, unknown section
 //    types are forward-skippable, truncation is Invalid with a byte offset;
 //  - warm start: FreezeFromImage installs sealed caches identical to a cold
@@ -27,6 +30,7 @@
 #include "granmine/mining/miner.h"
 #include "granmine/persist/bytes.h"
 #include "granmine/persist/codecs.h"
+#include "granmine/persist/crc32c.h"
 #include "granmine/persist/snapshot.h"
 #include "granmine/persist/stream_codec.h"
 #include "granmine/stream/online_miner.h"
@@ -58,6 +62,103 @@ std::vector<std::uint8_t> Bytes(std::initializer_list<int> values) {
   std::vector<std::uint8_t> out;
   for (int v : values) out.push_back(static_cast<std::uint8_t>(v));
   return out;
+}
+
+// ---------------------------------------------------------------------------
+// CRC32C: the RFC 3720 known answers, and the dispatched implementation (the
+// crc32 instruction on x86-64 CPUs with SSE4.2) pinned to the portable
+// slicing-by-8 routine and to a bit-at-a-time reference. Snapshot and wire
+// bytes stay identical only if every path computes the same function.
+
+std::uint32_t BitwiseCrc32c(std::span<const std::uint8_t> data) {
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (std::uint8_t byte : data) {
+    crc ^= byte;
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ ((crc & 1u) != 0 ? 0x82F63B78u : 0u);
+    }
+  }
+  return ~crc;
+}
+
+std::vector<std::uint8_t> SeededBytes(std::size_t size) {
+  std::vector<std::uint8_t> out(size);
+  std::uint64_t state = 0x9E3779B97F4A7C15ull;
+  for (std::uint8_t& b : out) {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    b = static_cast<std::uint8_t>(state >> 56);
+  }
+  return out;
+}
+
+TEST(Crc32cTest, MatchesRfc3720KnownAnswers) {
+  std::vector<std::uint8_t> ascending(32);
+  for (std::size_t i = 0; i < ascending.size(); ++i) {
+    ascending[i] = static_cast<std::uint8_t>(i);
+  }
+  const std::string check = "123456789";
+  const struct {
+    std::vector<std::uint8_t> bytes;
+    std::uint32_t crc;
+  } cases[] = {
+      {std::vector<std::uint8_t>(32, 0x00), 0x8A9136AAu},
+      {std::vector<std::uint8_t>(32, 0xFF), 0x62A8AB43u},
+      {ascending, 0x46DD794Eu},
+      {std::vector<std::uint8_t>(check.begin(), check.end()), 0xE3069283u},
+  };
+  for (const auto& c : cases) {
+    EXPECT_EQ(persist::Crc32c(c.bytes), c.crc);
+    EXPECT_EQ(persist::detail::ExtendCrc32cPortable(persist::kCrc32cInit,
+                                                    c.bytes),
+              c.crc);
+    EXPECT_EQ(BitwiseCrc32c(c.bytes), c.crc);
+  }
+}
+
+TEST(Crc32cTest, DispatchedPathMatchesPortableAtEveryLengthAndAlignment) {
+  const std::vector<std::uint8_t> bytes = SeededBytes(4096 + 8);
+  for (std::size_t start = 0; start < 8; ++start) {
+    for (std::size_t length = 0; length <= 4096; ++length) {
+      const std::span<const std::uint8_t> data(bytes.data() + start, length);
+      ASSERT_EQ(persist::Crc32c(data),
+                persist::detail::ExtendCrc32cPortable(persist::kCrc32cInit,
+                                                      data))
+          << "start " << start << " length " << length;
+    }
+  }
+  // Lengths around the interleaved block boundaries (3 × 256 and 3 × 8192)
+  // and a 1 MiB run, checked against the bit-at-a-time reference too.
+  const std::vector<std::uint8_t> big = SeededBytes((1u << 20) + 16);
+  for (std::size_t length :
+       {767u, 768u, 769u, 24575u, 24576u, 24577u, 50000u, 1u << 20}) {
+    for (std::size_t start : {0u, 3u}) {
+      const std::span<const std::uint8_t> data(big.data() + start, length);
+      const std::uint32_t reference = BitwiseCrc32c(data);
+      EXPECT_EQ(persist::Crc32c(data), reference) << "length " << length;
+      EXPECT_EQ(persist::detail::ExtendCrc32cPortable(persist::kCrc32cInit,
+                                                      data),
+                reference)
+          << "length " << length;
+    }
+  }
+}
+
+TEST(Crc32cTest, ChainedExtendEqualsOneShot) {
+  const std::vector<std::uint8_t> bytes = SeededBytes(60000);
+  const std::span<const std::uint8_t> all(bytes);
+  const std::uint32_t whole = persist::Crc32c(all);
+  for (std::size_t split : {0u, 1u, 7u, 8u, 255u, 769u, 8192u, 24577u,
+                            59999u, 60000u}) {
+    std::uint32_t crc = persist::ExtendCrc32c(persist::kCrc32cInit,
+                                              all.first(split));
+    crc = persist::ExtendCrc32c(crc, all.subspan(split));
+    EXPECT_EQ(crc, whole) << "split " << split;
+    std::uint32_t portable = persist::detail::ExtendCrc32cPortable(
+        persist::kCrc32cInit, all.first(split));
+    portable = persist::detail::ExtendCrc32cPortable(portable,
+                                                     all.subspan(split));
+    EXPECT_EQ(portable, whole) << "split " << split;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 // The serving-layer contract suite (docs/serving.md):
 //
 //  - wire format: the frame layout constants match the spec's table, the
-//    incremental parser survives one-byte-at-a-time delivery, and CRC /
-//    length corruption is a protocol error naming the stream offset;
+//    incremental parser survives one-byte-at-a-time delivery and seeded
+//    1 B – 64 KiB fragmentation of frames up to 1 MiB, and CRC / length
+//    corruption is a protocol error naming the stream offset;
 //  - loopback differential: server responses are byte-identical to
 //    granmine_cli stdout (and exit codes match) for the same requests —
 //    mine (plain / --naive / pins / --explain / bad reference), check
@@ -37,6 +38,7 @@
 #include <cstring>
 #include <fstream>
 #include <memory>
+#include <random>
 #include <span>
 #include <sstream>
 #include <string>
@@ -248,6 +250,86 @@ TEST(WireFormat, OversizedLengthIsAProtocolErrorNotAnAllocation) {
   EXPECT_NE(frame.status().message().find("payload length"),
             std::string::npos)
       << frame.status().ToString();
+}
+
+// Fragmentation differential: a seeded list of frames from 0 B to 1 MiB,
+// delivered in seeded chunks of 1 B to 64 KiB, decodes to exactly the list
+// sent; the parser's byte accounting holds after every Feed; and a payload
+// byte flipped late in the stream — long after the intake buffer first
+// compacted — is reported at that frame's absolute stream offset.
+TEST(WireFormat, FragmentedDeliveryDecodesTheSentFrames) {
+  std::mt19937_64 rng(20260517);
+  std::vector<Frame> sent;
+  for (int i = 0; i < 40; ++i) {
+    // Log-uniform sizes, plus both extremes pinned.
+    std::size_t size = 0;
+    if (i == 1) {
+      size = std::size_t{1} << 20;
+    } else if (i > 1) {
+      const std::uint64_t bits = rng() % 21;
+      size = static_cast<std::size_t>(rng() % (std::uint64_t{1} << bits));
+    }
+    Frame frame;
+    frame.type = i % 2 == 0 ? FrameType::kStreamIngest : FrameType::kMine;
+    frame.corr_id = static_cast<std::uint64_t>(i) + 1;
+    frame.payload.resize(size);
+    for (std::uint8_t& b : frame.payload) b = static_cast<std::uint8_t>(rng());
+    sent.push_back(std::move(frame));
+  }
+  std::vector<std::uint8_t> stream;
+  std::vector<std::uint64_t> offsets;  // absolute offset of each frame
+  for (const Frame& frame : sent) {
+    offsets.push_back(stream.size());
+    AppendFrame(&stream, frame.type, frame.corr_id, frame.payload);
+  }
+
+  // Delivers `bytes` in seeded 1 B – 64 KiB chunks, draining after each.
+  auto deliver = [](std::span<const std::uint8_t> bytes, std::uint64_t seed,
+                    std::vector<Frame>* decoded) -> Status {
+    std::mt19937_64 chunks(seed);
+    FrameParser parser;
+    std::size_t fed = 0;
+    while (fed < bytes.size()) {
+      const std::uint64_t bits = chunks() % 17;
+      const std::size_t chunk = std::min<std::size_t>(
+          bytes.size() - fed, 1 + chunks() % (std::uint64_t{1} << bits));
+      parser.Feed(bytes.subspan(fed, chunk));
+      fed += chunk;
+      EXPECT_EQ(parser.buffered() + parser.consumed(), fed);
+      while (true) {
+        auto next = parser.Next();
+        GM_RETURN_NOT_OK(next.status());
+        if (!next->has_value()) break;
+        decoded->push_back(std::move(**next));
+      }
+    }
+    EXPECT_EQ(parser.buffered(), 0u);
+    return Status::OK();
+  };
+
+  std::vector<Frame> decoded;
+  ASSERT_TRUE(deliver(stream, 7, &decoded).ok());
+  ASSERT_EQ(decoded.size(), sent.size());
+  for (std::size_t i = 0; i < sent.size(); ++i) {
+    EXPECT_EQ(decoded[i].type, sent[i].type) << "frame " << i;
+    EXPECT_EQ(decoded[i].corr_id, sent[i].corr_id) << "frame " << i;
+    EXPECT_EQ(decoded[i].payload, sent[i].payload) << "frame " << i;
+  }
+
+  std::size_t k = sent.size() * 3 / 4;
+  while (sent[k].payload.empty()) ++k;
+  std::vector<std::uint8_t> corrupted = stream;
+  corrupted[offsets[k] + server::kFrameHeaderSize +
+            sent[k].payload.size() / 2] ^= 0x40;
+  decoded.clear();
+  const Status status = deliver(corrupted, 7, &decoded);
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(decoded.size(), k);
+  EXPECT_NE(status.message().find("frame at offset " +
+                                  std::to_string(offsets[k]) +
+                                  ": CRC mismatch"),
+            std::string::npos)
+      << status.ToString();
 }
 
 // --- Loopback differential ----------------------------------------------
@@ -557,12 +639,10 @@ TEST_F(ServerTest, AdmissionShedBecomesARetryableErrorFrame) {
 // clean-but-dead socket — which, without MSG_NOSIGNAL, raises SIGPIPE and
 // terminates the whole process (this test included) under the default
 // disposition.
-TEST_F(ServerTest, ClientVanishingMidResponseDoesNotKillTheServer) {
-  StartServer();
-  // A dot request over a 40k-edge chain of long-named events: the ~10 MB
-  // DOT reply overruns even a fully autotuned kernel send buffer
-  // (tcp_wmem maxes out at a few MB), so the flush is guaranteed to stall
-  // mid-reply with POLLOUT armed once we stop reading.
+// A dot request over a 40k-edge chain of long-named events: the ~6 MB DOT
+// reply overruns even a fully autotuned kernel send buffer (tcp_wmem maxes
+// out at 4 MB by default), so the server's flush cannot finish in one send.
+server::DotCall MultiMegabyteDotCall() {
   server::DotCall call;
   call.structure_text.reserve(10u << 20);
   const std::string pad(96, 'x');
@@ -570,18 +650,35 @@ TEST_F(ServerTest, ClientVanishingMidResponseDoesNotKillTheServer) {
     call.structure_text += "e" + std::to_string(i) + pad + " -> e" +
                            std::to_string(i + 1) + pad + " : [1,1] hour\n";
   }
+  return call;
+}
+
+// A raw loopback socket with a minimal receive window (set before
+// connect), so the server can push only a few KB of a reply into the
+// kernel at a time. -1 on failure.
+int ConnectWithTinyWindow(std::uint16_t port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(fd, 0);
-  // A minimal receive window (set before connect), so the server can push
-  // only a few KB of the reply into the kernel before its flush stalls.
+  if (fd < 0) return -1;
   int tiny = 4096;
   ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &tiny, sizeof(tiny));
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
-  addr.sin_port = htons(srv_->port());
-  ASSERT_EQ(inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-            0);
+  addr.sin_port = htons(port);
+  if (inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr) != 1 ||
+      ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+TEST_F(ServerTest, ClientVanishingMidResponseDoesNotKillTheServer) {
+  StartServer();
+  // The flush is guaranteed to stall mid-reply with POLLOUT armed once we
+  // stop reading.
+  const server::DotCall call = MultiMegabyteDotCall();
+  const int fd = ConnectWithTinyWindow(srv_->port());
+  ASSERT_GE(fd, 0) << std::strerror(errno);
   std::vector<std::uint8_t> bytes;
   server::AppendPreamble(&bytes);
   AppendFrame(&bytes, FrameType::kDot, 1, EncodeDotCall(call));
@@ -615,6 +712,74 @@ TEST_F(ServerTest, ClientVanishingMidResponseDoesNotKillTheServer) {
   auto alive = Connect();
   ASSERT_NE(alive, nullptr);
   EXPECT_TRUE(alive->Ping().ok());
+}
+
+// The outbox's partial-send path: a ~6 MB reply and a small one queued
+// behind it drain to a peer with a tiny receive window through many
+// partial sendmsg() calls (resuming mid-frame, and gathering the next
+// frame into the same call), and both arrive CRC-valid, in order, and
+// byte-identical to the same replies read at full speed.
+TEST_F(ServerTest, SlowReaderGetsLargeRepliesIntactAcrossPartialSends) {
+  StartServer();
+  const server::DotCall big = MultiMegabyteDotCall();
+  server::DotCall small;
+  small.structure_text = kStructure;
+  auto fast = Connect();
+  ASSERT_NE(fast, nullptr);
+  auto big_expected = fast->Dot(big);
+  auto small_expected = fast->Dot(small);
+  ASSERT_TRUE(big_expected.ok() && small_expected.ok());
+
+  const int fd = ConnectWithTinyWindow(srv_->port());
+  ASSERT_GE(fd, 0) << std::strerror(errno);
+  std::vector<std::uint8_t> bytes;
+  server::AppendPreamble(&bytes);
+  AppendFrame(&bytes, FrameType::kDot, 1, EncodeDotCall(big));
+  AppendFrame(&bytes, FrameType::kDot, 2, EncodeDotCall(small));
+  std::size_t sent = 0;
+  while (sent < bytes.size()) {
+    const ssize_t n =
+        ::send(fd, bytes.data() + sent, bytes.size() - sent, MSG_NOSIGNAL);
+    ASSERT_GT(n, 0) << std::strerror(errno);
+    sent += static_cast<std::size_t>(n);
+  }
+  std::uint8_t preamble[server::kPreambleSize];
+  std::size_t got = 0;
+  while (got < sizeof(preamble)) {
+    const ssize_t n = ::recv(fd, preamble + got, sizeof(preamble) - got, 0);
+    ASSERT_GT(n, 0) << std::strerror(errno);
+    got += static_cast<std::size_t>(n);
+  }
+  ASSERT_TRUE(server::CheckPreamble(preamble).ok());
+  // Let the server fill the window and stall before reading on.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  FrameParser parser;
+  std::vector<Frame> frames;
+  while (frames.size() < 2) {
+    const std::span<std::uint8_t> tail = parser.Tail(4096);
+    const ssize_t n = ::recv(fd, tail.data(), std::min<std::size_t>(
+                                                  tail.size(), 4096), 0);
+    ASSERT_GT(n, 0) << std::strerror(errno);
+    parser.Commit(static_cast<std::size_t>(n));
+    while (true) {
+      auto next = parser.Next();
+      ASSERT_TRUE(next.ok()) << next.status().ToString();
+      if (!next->has_value()) break;
+      frames.push_back(std::move(**next));
+    }
+  }
+  ::close(fd);
+  ASSERT_EQ(frames.size(), 2u);
+  const Response* expected[] = {&*big_expected, &*small_expected};
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    EXPECT_EQ(frames[i].type, FrameType::kReply);
+    EXPECT_EQ(frames[i].corr_id, i + 1);
+    server::ReplyBody reply;
+    ASSERT_TRUE(server::DecodeReply(frames[i].payload, &reply).ok());
+    EXPECT_EQ(reply.exit_code, expected[i]->exit_code);
+    EXPECT_EQ(reply.out, expected[i]->out) << "reply " << i + 1;
+  }
+  EXPECT_GT(frames[0].payload.size(), 4u << 20);
 }
 
 // Pipelining far past the per-connection cap must not lose or reorder
