@@ -2,10 +2,10 @@
 //
 //  (a) snapshot save/load moves bytes at I/O-bound rates — the CRC32C frame
 //      and the codec walk add no visible CPU wall (bytes_per_second counter);
-//  (b) warm start is measurably cheaper than a cold Freeze(): installing the
-//      sealed min-size/max-size/min-gap caches from a FrozenSystemImage
-//      (decode + shape validation + k=1,2 spot checks) skips recomputing
-//      every table row up to the sealed k-cap;
+//  (b) a cold Freeze() — one support walk per granularity, the sealed
+//      table rows and the coverage matrix computed from those walks — is
+//      cheap enough that restores re-freeze instead of installing a stored
+//      image (the image section was retired; EXPERIMENTS.md E18);
 //  (c) a stream checkpoint (encode + atomic temp-file write + rename) is
 //      cheap enough to take every few thousand events.
 //
@@ -23,7 +23,6 @@
 #include "granmine/engine/engine.h"
 #include "granmine/granularity/system.h"
 #include "granmine/mining/miner.h"
-#include "granmine/persist/codecs.h"
 #include "granmine/persist/stream_codec.h"
 #include "granmine/sequence/sequence.h"
 #include "granmine/stream/online_miner.h"
@@ -59,8 +58,8 @@ std::uint64_t FileBytes(const std::string& path) {
   return size > 0 ? static_cast<std::uint64_t>(size) : 0;
 }
 
-// (a) Engine::SaveSnapshot throughput: frozen Gregorian image + an event
-// sequence of range(0) events, through the atomic temp-file + rename path.
+// (a) Engine::SaveSnapshot throughput: an event sequence of range(0) events,
+// through the atomic temp-file + rename path.
 void BM_SnapshotSave(benchmark::State& state) {
   auto engine = Engine::CreateGregorian();
   if (!engine.ok()) {
@@ -72,12 +71,6 @@ void BM_SnapshotSave(benchmark::State& state) {
   const std::string path = TempPath("save.bin");
   SnapshotSaveOptions options;
   options.sequence = &sequence;
-  // SaveSnapshot freezes the engine on first use; one warmup save keeps that
-  // one-time cost out of the steady-state save throughput.
-  if (!(*engine)->SaveSnapshot(path, options).ok()) {
-    state.SkipWithError("warmup SaveSnapshot failed");
-    return;
-  }
   std::uint64_t bytes = 0;
   for (auto _ : state) {
     Status saved = (*engine)->SaveSnapshot(path, options);
@@ -92,7 +85,7 @@ void BM_SnapshotSave(benchmark::State& state) {
 }
 BENCHMARK(BM_SnapshotSave)->Arg(1000)->Arg(100000);
 
-// (a) Engine::FromSnapshot throughput: read + CRC verify + decode + warm
+// (a) Engine::FromSnapshot throughput: read + CRC verify + decode + cold
 // freeze + engine construction, i.e. the whole crash-recovery path.
 void BM_SnapshotLoad(benchmark::State& state) {
   auto engine = Engine::CreateGregorian();
@@ -127,8 +120,8 @@ void BM_SnapshotLoad(benchmark::State& state) {
 }
 BENCHMARK(BM_SnapshotLoad)->Arg(1000)->Arg(100000);
 
-// (b) Cold start: build the Gregorian family and compute every sealed table
-// row with Freeze(). The baseline warm start must beat.
+// (b) Cold start: build the Gregorian family and freeze it — every sealed
+// table row and the coverage matrix. What every restore pays.
 void BM_ColdFreeze(benchmark::State& state) {
   for (auto _ : state) {
     std::unique_ptr<GranularitySystem> system = GranularitySystem::Gregorian();
@@ -141,45 +134,6 @@ void BM_ColdFreeze(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ColdFreeze);
-
-// (b) Warm start: decode the frozen image and install it with
-// FreezeFromImage (shape checks + k=1,2 spot checks against the live
-// definitions, no table recomputation). Family build cost is kept inside
-// the loop exactly as in BM_ColdFreeze so the delta isolates
-// freeze-vs-install.
-void BM_WarmStartFromImage(benchmark::State& state) {
-  std::unique_ptr<GranularitySystem> donor = GranularitySystem::Gregorian();
-  if (!donor->Freeze().ok()) {
-    state.SkipWithError("donor Freeze failed");
-    return;
-  }
-  auto image = donor->ExportFrozenImage();
-  if (!image.ok()) {
-    state.SkipWithError("ExportFrozenImage failed");
-    return;
-  }
-  const std::vector<std::uint8_t> payload =
-      persist::EncodeFrozenSystemImage(*image);
-  for (auto _ : state) {
-    persist::Section section;
-    section.type = persist::SectionType::kFrozenSystemImage;
-    section.payload = payload;
-    section.payload_offset = 36;
-    auto decoded = persist::DecodeFrozenSystemImage(section);
-    if (!decoded.ok()) {
-      state.SkipWithError("DecodeFrozenSystemImage failed");
-      return;
-    }
-    std::unique_ptr<GranularitySystem> system = GranularitySystem::Gregorian();
-    Status installed = system->FreezeFromImage(*decoded);
-    if (!installed.ok()) {
-      state.SkipWithError("FreezeFromImage failed");
-      return;
-    }
-    benchmark::DoNotOptimize(system.get());
-  }
-}
-BENCHMARK(BM_WarmStartFromImage);
 
 // (c) Stream checkpoint cadence cost: encode the resident session and write
 // it through the atomic-rename path, on a live session of range(0) events

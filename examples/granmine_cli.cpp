@@ -11,9 +11,8 @@
 //                       [--pin VAR=TYPE]... [--tolerance SECS] [--threads N]
 //                       [--checkpoint-every N --checkpoint-path FILE]
 //                       [--metrics-out FILE] [--trace-out FILE]
-//   granmine_cli save    --out FILE [--structure S.txt] [--events E.txt]
-//   granmine_cli restore --snapshot FILE [--structure S.txt]
-//   granmine_cli statusz --snapshot FILE
+//   granmine_cli save    --out FILE [--events E.txt]
+//   granmine_cli restore --snapshot FILE
 //   granmine_cli check  --structure S.txt [--exact]
 //   granmine_cli dot    --structure S.txt [--tag]
 //   granmine_cli demo
@@ -41,11 +40,11 @@
 // rejected as late arrivals, they are never double-counted within the
 // tolerance horizon).
 //
-// `save` writes a versioned binary snapshot of the frozen granularity
-// family (plus, optionally, a parsed event file) so later runs can warm
-// start; `restore` proves the warm start: it rebuilds the same family,
-// installs the sealed caches from the snapshot without recomputing them,
-// and prints what it found.
+// `save` writes a versioned binary snapshot holding, optionally, a parsed
+// event file; `restore` reads it back into an engine over the Gregorian
+// family, frozen cold — the granularity caches are never stored, and the
+// frozen-family image older snapshots carry is skipped — and prints what
+// it found.
 //
 // Every subcommand runs against one `Engine` (granmine/engine/engine.h)
 // owning the Gregorian granularity family: the shared engine flags
@@ -66,11 +65,10 @@
 // rendering; --log-level debug|info|warn|error sets the minimum severity
 // (and enables the logger on its own, keeping stderr rendering).
 //
-// `statusz --snapshot FILE` warm-starts an engine from a snapshot and prints
-// its point-in-time status as one JSON object; `stream --statusz-every N`
-// emits the same JSON (plus a "stream" block with the live watermark /
-// retention / checkpoint lag) to stderr after every N accepted events. See
-// docs/observability.md.
+// `stream --statusz-every N` emits the engine's point-in-time status as one
+// JSON object (plus a "stream" block with the live watermark / retention /
+// checkpoint lag) to stderr after every N accepted events; a server's
+// status is `granmine_client statusz`. See docs/observability.md.
 
 #include <chrono>
 #include <cstdio>
@@ -109,9 +107,8 @@ int Usage() {
       "[--threads N] [--checkpoint-every N --checkpoint-path FILE] "
       "[--statusz-every N] [--metrics-out FILE] [--trace-out FILE] "
       "[--log-out FILE] [--log-level LVL]\n"
-      "  granmine_cli save    --out FILE [--structure FILE] [--events FILE]\n"
-      "  granmine_cli restore --snapshot FILE [--structure FILE]\n"
-      "  granmine_cli statusz --snapshot FILE\n"
+      "  granmine_cli save    --out FILE [--events FILE]\n"
+      "  granmine_cli restore --snapshot FILE\n"
       "  granmine_cli check  --structure FILE [--exact]\n"
       "  granmine_cli dot    --structure FILE [--tag]\n"
       "  granmine_cli demo\n");
@@ -415,22 +412,6 @@ int RunSave(const CliArgs& args, Engine* engine) {
                  &exit_code)) {
     return exit_code;
   }
-  if (args.flags.count("structure")) {
-    auto text = ReadFileToString(args.flags.at("structure"));
-    if (!text.ok()) {
-      std::fprintf(stderr, "%s\n", text.status().ToString().c_str());
-      return 66;
-    }
-    // Parsed for its granularity definitions only: they extend the family
-    // the snapshot freezes, so a later `restore` of the same structure file
-    // reconstructs an identical family.
-    auto structure = ParseEventStructure(*text, engine->system());
-    if (!structure.ok()) {
-      std::fprintf(stderr, "structure: %s\n",
-                   structure.status().ToString().c_str());
-      return 65;
-    }
-  }
   EventTypeRegistry registry;
   std::optional<EventSequence> sequence;
   if (args.flags.count("events")) {
@@ -452,65 +433,31 @@ int RunSave(const CliArgs& args, Engine* engine) {
     std::fprintf(stderr, "save: %s\n", status.ToString().c_str());
     return 74;
   }
-  std::printf("snapshot written to %s: frozen family of %zu granularities",
-              out.c_str(), engine->system()->family().size());
+  std::printf("snapshot written to %s", out.c_str());
   if (sequence.has_value()) {
-    std::printf(", %zu events", sequence->size());
+    std::printf(": %zu events", sequence->size());
   }
   std::printf("\n");
   return 0;
 }
 
 int RunRestore(const CliArgs& args, const EngineOptions& engine_options) {
-  // The warm-start contract (docs/persistence.md): rebuild the *same* family
-  // definitions, then install the sealed caches from the snapshot instead of
-  // recomputing them. FromSnapshot refuses a snapshot whose image disagrees
-  // with the family built here.
-  std::unique_ptr<GranularitySystem> system = GranularitySystem::Gregorian();
-  if (args.flags.count("structure")) {
-    auto text = ReadFileToString(args.flags.at("structure"));
-    if (!text.ok()) {
-      std::fprintf(stderr, "%s\n", text.status().ToString().c_str());
-      return 66;
-    }
-    auto structure = ParseEventStructure(*text, system.get());
-    if (!structure.ok()) {
-      std::fprintf(stderr, "structure: %s\n",
-                   structure.status().ToString().c_str());
-      return 65;
-    }
-  }
+  // The restore contract (docs/persistence.md): FromSnapshot reads the
+  // snapshot's sections and freezes the family cold.
   EventSequence sequence;
-  auto engine = Engine::FromSnapshot(std::move(system),
+  auto engine = Engine::FromSnapshot(GranularitySystem::Gregorian(),
                                      args.flags.at("snapshot"), engine_options,
                                      &sequence);
   if (!engine.ok()) {
     std::fprintf(stderr, "restore: %s\n", engine.status().ToString().c_str());
     return engine.status().code() == StatusCode::kNotFound ? 66 : 65;
   }
-  std::printf("warm start OK: family of %zu granularities restored "
-              "pre-frozen (no table recomputation)",
+  std::printf("restore OK: family of %zu granularities frozen",
               (*engine)->system()->family().size());
   if (sequence.size() > 0) {
     std::printf(", %zu stored events", sequence.size());
   }
   std::printf("\n");
-  return 0;
-}
-
-int RunStatusz(const CliArgs& args, const EngineOptions& engine_options) {
-  // statusz renders a live engine's point-in-time status; standalone it
-  // warm-starts one from a family snapshot. (A stream checkpoint cannot be
-  // decoded without its problem geometry, so the live-session counterpart is
-  // `stream --statusz-every N`.)
-  auto engine = Engine::FromSnapshot(GranularitySystem::Gregorian(),
-                                     args.flags.at("snapshot"),
-                                     engine_options);
-  if (!engine.ok()) {
-    std::fprintf(stderr, "statusz: %s\n", engine.status().ToString().c_str());
-    return engine.status().code() == StatusCode::kNotFound ? 66 : 65;
-  }
-  std::printf("%s\n", RenderStatuszJson((*engine)->Statusz()).c_str());
   return 0;
 }
 
@@ -629,8 +576,6 @@ int main(int argc, char** argv) {
     code = RunSave(*args, engine->get());
   } else if (args->command == "restore" && need("snapshot")) {
     code = RunRestore(*args, engine_options);
-  } else if (args->command == "statusz" && need("snapshot")) {
-    code = RunStatusz(*args, engine_options);
   } else if (args->command == "check" && need("structure")) {
     code = RunCheck(*args, engine->get());
   } else if (args->command == "dot" && need("structure")) {

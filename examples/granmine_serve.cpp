@@ -1,7 +1,7 @@
 // granmine_serve — the granmine network server (docs/serving.md).
 //
 //   granmine_serve [--host ADDR] [--port N] [--workers N]
-//                  [--structure FILE]... [--snapshot FILE]
+//                  [--structure FILE]...
 //                  [--threads N] [--deadline-ms N] [--mem-budget-mb N]
 //                  [--max-queue N] [--degrade]
 //                  [--metrics-out FILE] [--trace-out FILE]
@@ -10,9 +10,8 @@
 // Owns one Engine for its whole lifetime and serves mine / check / dot /
 // statusz / stream requests over the framed TCP protocol of
 // src/granmine/server/wire.h. The granularity family is fixed at startup:
-// --snapshot warm-starts it from a `granmine_cli save` snapshot (sealed
-// caches installed, no recomputation), each --structure file's granularity
-// definitions extend it, and Server::Start freezes it — requests arriving
+// each --structure file's granularity definitions extend the Gregorian
+// family, and Server::Start freezes it — requests arriving
 // over the wire can use every granularity defined here but cannot define
 // new ones (the build/serve phase split, docs/architecture.md).
 //
@@ -55,7 +54,7 @@ int Usage() {
       stderr,
       "usage:\n"
       "  granmine_serve [--host ADDR] [--port N] [--workers N] "
-      "[--structure FILE]... [--snapshot FILE] [--threads N] "
+      "[--structure FILE]... [--threads N] "
       "[--deadline-ms N] [--mem-budget-mb N] [--max-queue N] [--degrade] "
       "[--metrics-out FILE] [--trace-out FILE] [--log-out FILE] "
       "[--log-level LVL]\n");
@@ -140,18 +139,14 @@ int main(int argc, char** argv) {
     engine_options.admission.degrade_when_saturated = engine_flags->degrade;
   }
 
-  auto engine =
-      args->flags.count("snapshot")
-          ? Engine::FromSnapshot(GranularitySystem::Gregorian(),
-                                 args->flags.at("snapshot"), engine_options)
-          : Engine::CreateGregorian(engine_options);
+  auto engine = Engine::CreateGregorian(engine_options);
   if (!engine.ok()) {
     std::fprintf(stderr, "engine: %s\n", engine.status().ToString().c_str());
     return 70;
   }
   // --structure is repeatable: each file is parsed for its granularity
-  // definitions only, like `save --structure`, and they all extend the
-  // family the server freezes at Start.
+  // definitions only, and they all extend the family the server freezes at
+  // Start.
   for (const std::string& structure_path : args->structures) {
     auto text = ReadFileToString(structure_path);
     if (!text.ok()) {

@@ -353,15 +353,11 @@ Result<OnlineMiner> Engine::RestoreStream(const StreamRequest& request,
 Status Engine::SaveSnapshot(const std::string& path,
                             SnapshotSaveOptions options) {
   GM_TRACE_SPAN("persist_save_snapshot");
-  GM_RETURN_NOT_OK(Freeze());
-  GM_ASSIGN_OR_RETURN(FrozenSystemImage image, system_->ExportFrozenImage());
   GM_ASSIGN_OR_RETURN(std::unique_ptr<persist::AtomicFileSink> sink,
                       persist::AtomicFileSink::Open(path));
   persist::SnapshotWriter writer(sink.get(),
                                  persist::SnapshotIoOptions{options.governor});
   GM_RETURN_NOT_OK(writer.WriteHeader());
-  GM_RETURN_NOT_OK(writer.WriteSection(persist::SectionType::kFrozenSystemImage,
-                                       persist::EncodeFrozenSystemImage(image)));
   if (options.sequence != nullptr) {
     GM_RETURN_NOT_OK(
         writer.WriteSection(persist::SectionType::kEventSequence,
@@ -376,7 +372,7 @@ Status Engine::SaveSnapshot(const std::string& path,
 Result<std::unique_ptr<Engine>> Engine::FromSnapshot(
     std::unique_ptr<GranularitySystem> system, const std::string& path,
     EngineOptions options, EventSequence* sequence_out) {
-  GM_TRACE_SPAN("persist_warm_start");
+  GM_TRACE_SPAN("persist_snapshot_restore");
   if (system == nullptr) {
     return Status::Invalid("Engine::FromSnapshot requires a granularity "
                            "system");
@@ -385,32 +381,18 @@ Result<std::unique_ptr<Engine>> Engine::FromSnapshot(
                       persist::FileSource::Open(path));
   GM_ASSIGN_OR_RETURN(std::vector<persist::Section> sections,
                       persist::ReadAllSections(source.get()));
-  const persist::Section* image_section = nullptr;
-  const persist::Section* sequence_section = nullptr;
-  for (const persist::Section& section : sections) {
-    if (section.type == persist::SectionType::kFrozenSystemImage &&
-        image_section == nullptr) {
-      image_section = &section;
-    }
-    if (section.type == persist::SectionType::kEventSequence &&
-        sequence_section == nullptr) {
-      sequence_section = &section;
-    }
-  }
-  if (image_section == nullptr) {
-    return Status::Invalid("snapshot '" + path +
-                           "' carries no frozen-system image");
-  }
-  GM_ASSIGN_OR_RETURN(FrozenSystemImage image,
-                      persist::DecodeFrozenSystemImage(*image_section));
-  GM_RETURN_NOT_OK(system->FreezeFromImage(image));
-  if (sequence_out != nullptr && sequence_section != nullptr) {
+  // Other sections — including the retired frozen-family image of older
+  // snapshots — are skipped: the family is always frozen cold.
+  auto sequence_section = std::find_if(
+      sections.begin(), sections.end(), [](const persist::Section& section) {
+        return section.type == persist::SectionType::kEventSequence;
+      });
+  if (sequence_out != nullptr && sequence_section != sections.end()) {
     GM_ASSIGN_OR_RETURN(*sequence_out,
                         persist::DecodeEventSequence(*sequence_section));
   }
-  GM_COUNTER_ADD("granmine_persist_warm_starts_total", "", 1);
-  // The system arrives pre-frozen, so the engine's lazy Freeze (a call_once
-  // into GranularitySystem::Freeze, which is idempotent) is a no-op.
+  GM_RETURN_NOT_OK(system->Freeze());
+  GM_COUNTER_ADD("granmine_persist_snapshot_restores_total", "", 1);
   return Create(std::move(system), options);
 }
 

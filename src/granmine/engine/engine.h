@@ -101,7 +101,7 @@ struct MatchResponse {
   std::uint64_t governor_steps = 0;
 };
 
-/// What `Engine::SaveSnapshot` writes beyond the frozen system image.
+/// What `Engine::SaveSnapshot` writes.
 struct SnapshotSaveOptions {
   /// When set, the sequence is stored as a kEventSequence section so a
   /// restored engine can resume batch work without re-parsing input.
@@ -181,18 +181,18 @@ class Engine {
   /// engine must outlive it.
   Result<OnlineMiner> OpenStream(const StreamRequest& request);
 
-  /// Writes a versioned binary snapshot (docs/persistence.md) of the frozen
-  /// family — and optionally an event sequence — to `path` through an
-  /// atomic temp-file-plus-rename, so a crash or cancellation mid-write
-  /// never leaves a partial file. Freezes on first use.
+  /// Writes a versioned binary snapshot (docs/persistence.md) — the
+  /// optional event sequence — to `path` through an atomic
+  /// temp-file-plus-rename, so a crash or cancellation mid-write never
+  /// leaves a partial file.
   Status SaveSnapshot(const std::string& path,
                       SnapshotSaveOptions options = {});
 
-  /// Warm start: builds an engine over `system` (same family definitions,
-  /// not yet frozen) whose freeze installs the sealed caches from the
-  /// snapshot at `path` instead of recomputing them. Refuses (Invalid) when
-  /// the snapshot does not match the family. `sequence_out`, when non-null,
-  /// receives the snapshot's event sequence if one was stored.
+  /// Restore: reads the snapshot at `path`, freezes `system` cold and builds
+  /// an engine over it. Sections this build does not use (the retired
+  /// frozen-family image of older snapshots among them) are skipped.
+  /// `sequence_out`, when non-null, receives the snapshot's event sequence
+  /// if one was stored.
   static Result<std::unique_ptr<Engine>> FromSnapshot(
       std::unique_ptr<GranularitySystem> system, const std::string& path,
       EngineOptions options = EngineOptions{},

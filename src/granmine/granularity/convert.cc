@@ -1,6 +1,7 @@
 #include "granmine/granularity/convert.h"
 
 #include <algorithm>
+#include <memory>
 #include <mutex>
 #include <numeric>
 #include <shared_mutex>
@@ -33,33 +34,13 @@ std::optional<Tick> CoveringTick(const Granularity& mu, const Granularity& nu,
   return candidate;
 }
 
-bool SupportContainsSpan(const Granularity& g, const TimeSpan& span) {
-  if (span.empty()) return true;
-  TimePoint t = span.first;
-  std::vector<TimeSpan> extent;
-  while (t <= span.last) {
-    std::optional<Tick> z = g.TickContaining(t);
-    if (!z.has_value()) return false;
-    extent.clear();
-    g.TickExtent(*z, &extent);
-    TimePoint advanced = t;
-    for (const TimeSpan& piece : extent) {
-      if (piece.Contains(t)) {
-        advanced = piece.last + 1;
-        break;
-      }
-    }
-    GM_CHECK(advanced > t) << "extent of " << g.name() << " tick " << *z
-                           << " does not contain a covered instant";
-    t = advanced;
-  }
-  return true;
-}
+namespace {
 
-bool SupportCovers(const Granularity& target, const Granularity& source,
-                   std::int64_t scan_cap) {
-  // Event timestamps are non-negative (§2: positive integers of the
-  // primitive type), so coverage only has to hold on [0, +inf).
+// Pairs with a full-support side decide in O(1); nullopt when both sides
+// are gapped. Event timestamps are non-negative (§2: positive integers of
+// the primitive type), so coverage only has to hold on [0, +inf).
+std::optional<bool> FullSupportCovers(const Granularity& target,
+                                      const Granularity& source) {
   const TimePoint source_start = std::max<TimePoint>(source.SupportStart(), 0);
   if (source.HasFullSupport()) {
     return target.HasFullSupport() && target.SupportStart() <= source_start;
@@ -67,14 +48,20 @@ bool SupportCovers(const Granularity& target, const Granularity& source,
   if (target.HasFullSupport()) {
     return target.SupportStart() <= source_start;
   }
-  // Both gapped: scan source ticks across one joint period, extended past
-  // both exception windows.
+  return std::nullopt;
+}
+
+// Both gapped: the last source tick the merge reads — one joint period,
+// extended past both exception windows. nullopt when that passes
+// kMaxScanTick source ticks (conservatively "not covered").
+std::optional<Tick> MergeHorizon(const Granularity& target,
+                                 const Granularity& source) {
   const Granularity::Periodicity ps = source.periodicity();
   const Granularity::Periodicity pt = target.periodicity();
   std::int64_t joint_period;
   if (__builtin_mul_overflow(ps.period / std::gcd(ps.period, pt.period),
                              pt.period, &joint_period)) {
-    return false;  // conservatively infeasible
+    return std::nullopt;
   }
   std::int64_t joint_source_ticks =
       joint_period / ps.period * ps.ticks_per_period;
@@ -87,62 +74,62 @@ bool SupportCovers(const Granularity& target, const Granularity& source,
     last = std::max(last, FirstTickEndingAtOrAfter(source, dev_hull->last) +
                               joint_source_ticks);
   }
-  if (last > scan_cap) return false;  // conservatively infeasible
-  std::vector<TimeSpan> extent;
-  for (Tick z = 1; z <= last; ++z) {
-    extent.clear();
-    source.TickExtent(z, &extent);
-    for (TimeSpan piece : extent) {
-      piece.first = std::max<TimePoint>(piece.first, 0);
-      if (!SupportContainsSpan(target, piece)) return false;
-    }
+  if (last > kMaxScanTick) return std::nullopt;
+  return last;
+}
+
+// The coverage answer, with `window_of(g)` supplying a pointer-like handle
+// to g's walked window (nullopt past kMaxScanTick). Windows are asked for
+// only for a gapped pair whose joint period fits under the cap; that
+// horizon spans the source's whole window, so the source's was walked, and
+// a missing target window is read tick by tick.
+template <typename WindowOf>
+bool DecideCovers(const Granularity& target, const Granularity& source,
+                  WindowOf window_of) {
+  if (std::optional<bool> decided = FullSupportCovers(target, source)) {
+    return *decided;
   }
-  return true;
+  const std::optional<Tick> last = MergeHorizon(target, source);
+  if (!last.has_value()) return false;
+  const auto target_window = window_of(target);
+  const auto source_window = window_of(source);
+  GM_CHECK(source_window->has_value() && (*source_window)->size() <= *last);
+  return SupportWindow::Contains(
+      target, target_window->has_value() ? &**target_window : nullptr,
+      **source_window, (*source_window)->Hull(*last).last);
+}
+
+}  // namespace
+
+bool SupportCovers(const Granularity& target, const Granularity& source) {
+  return DecideCovers(target, source, [](const Granularity& g) {
+    return std::make_unique<const std::optional<SupportWindow>>(
+        SupportWindow::Walk(g));
+  });
 }
 
 void SupportCoverageCache::Seal(
-    const std::vector<const Granularity*>& family) {
+    const std::vector<const Granularity*>& family,
+    const std::vector<std::optional<SupportWindow>>& windows) {
   if (sealed_) return;
   const std::size_t n = family.size();
+  GM_CHECK(windows.size() == n);
   sealed_family_ = family;
   sealed_matrix_.assign(n * n, false);
   for (std::size_t t = 0; t < n; ++t) {
     GM_CHECK(family[t] != nullptr);
     GM_CHECK(family[t]->id() == static_cast<GranularityId>(t));
     for (std::size_t s = 0; s < n; ++s) {
-      sealed_matrix_[t * n + s] = Covers(*family[t], *family[s]);
+      sealed_matrix_[t * n + s] =
+          DecideCovers(*family[t], *family[s], [&](const Granularity& g) {
+            return &windows[&g == family[t] ? t : s];
+          });
     }
   }
+  // Pre-seal walks are superseded by the family's.
+  std::lock_guard<std::mutex> lock(windows_mutex_);
+  windows_.clear();
   sealed_ = true;
-}
-
-std::vector<bool> SupportCoverageCache::ExportSealedMatrix() const {
-  GM_CHECK(sealed_) << "ExportSealedMatrix on an unsealed coverage cache";
-  return sealed_matrix_;
-}
-
-Status SupportCoverageCache::SealFromMatrix(
-    const std::vector<const Granularity*>& family, std::vector<bool> matrix) {
-  if (sealed_) {
-    return Status::Internal("support coverage cache is already sealed");
-  }
-  const std::size_t n = family.size();
-  if (matrix.size() != n * n) {
-    return Status::Invalid("coverage-matrix image has " +
-                           std::to_string(matrix.size()) +
-                           " cells for a family of " + std::to_string(n));
-  }
-  for (std::size_t id = 0; id < n; ++id) {
-    if (family[id] == nullptr ||
-        family[id]->id() != static_cast<GranularityId>(id)) {
-      return Status::Invalid("family member " + std::to_string(id) +
-                             " is not id-indexed; cannot seal coverage");
-    }
-  }
-  sealed_family_ = family;
-  sealed_matrix_ = std::move(matrix);
-  sealed_ = true;
-  return Status::OK();
 }
 
 bool SupportCoverageCache::Covers(const Granularity& target,
@@ -171,12 +158,28 @@ bool SupportCoverageCache::Covers(const Granularity& target,
     }
   }
   GM_COUNTER_ADD("granmine_coverage_lookups_total", "result=\"miss\"", 1);
-  // SupportCovers is deterministic, so computing outside the lock at worst
+  // Coverage is deterministic, so computing outside the lock at worst
   // duplicates work; emplace keeps the first answer (they are all equal).
-  bool result = SupportCovers(target, source);
+  bool result = DecideCovers(target, source, [this](const Granularity& g) {
+    return WindowFor(g);
+  });
   std::unique_lock<std::shared_mutex> lock(shard.mutex);
   shard.cache.emplace(key, result);
   return result;
+}
+
+std::shared_ptr<const std::optional<SupportWindow>>
+SupportCoverageCache::WindowFor(const Granularity& g) {
+  {
+    std::lock_guard<std::mutex> lock(windows_mutex_);
+    if (auto it = windows_.find(&g); it != windows_.end()) return it->second;
+  }
+  // Walked outside the lock, like the pair memo: a race at worst walks
+  // twice, and the first walk stored wins.
+  auto window = std::make_shared<const std::optional<SupportWindow>>(
+      SupportWindow::Walk(g));
+  std::lock_guard<std::mutex> lock(windows_mutex_);
+  return windows_.emplace(&g, std::move(window)).first->second;
 }
 
 }  // namespace granmine

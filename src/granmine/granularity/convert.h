@@ -3,14 +3,16 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <optional>
 #include <shared_mutex>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "granmine/common/status.h"
 #include "granmine/granularity/granularity.h"
+#include "granmine/granularity/support.h"
 
 namespace granmine {
 
@@ -20,18 +22,15 @@ namespace granmine {
 std::optional<Tick> CoveringTick(const Granularity& mu, const Granularity& nu,
                                  Tick z);
 
-/// Whether every instant of `span` belongs to the support of `g`.
-bool SupportContainsSpan(const Granularity& g, const TimeSpan& span);
-
 /// Decides the Appendix-A.1 feasibility precondition for converting
 /// constraints from `source` into `target`:
 ///   for all i, t:  t ∈ source(i)  ⇒  exists j: t ∈ target(j),
 /// i.e., support(source) ⊆ support(target). Full-support types are decided
-/// in O(1); gapped pairs are scanned over one joint period (plus exception
+/// in O(1); for gapped pairs both supports are walked once
+/// (`SupportWindow`) and merged over one joint period (plus exception
 /// windows). Returns false conservatively when the joint period exceeds
-/// `scan_cap` source ticks — failing to convert is always sound.
-bool SupportCovers(const Granularity& target, const Granularity& source,
-                   std::int64_t scan_cap = std::int64_t{1} << 20);
+/// `kMaxScanTick` source ticks — failing to convert is always sound.
+bool SupportCovers(const Granularity& target, const Granularity& source);
 
 /// Memoizing wrapper around SupportCovers. Must not outlive the
 /// granularities it has seen.
@@ -46,32 +45,22 @@ bool SupportCovers(const Granularity& target, const Granularity& source,
 /// Thread safety: `Covers` may be called concurrently. Pre-seal (and on the
 /// fallback path) the memo is split into address-hashed shards, each behind
 /// a `std::shared_mutex`; hits take only the shared lock, and misses compute
-/// `SupportCovers` (a pure function) outside any lock, so a race at worst
+/// `SupportCovers`'s answer outside any lock from per-granularity windows
+/// (each walked once, stored behind one mutex), so a race at worst
 /// recomputes the same value. Post-seal the matrix is immutable, so sealed
 /// hits are wait-free.
 class SupportCoverageCache {
  public:
   bool Covers(const Granularity& target, const Granularity& source);
 
-  /// Freezes coverage for `family` (listed in id order): precomputes
-  /// SupportCovers for every ordered pair into a dense id×id matrix.
-  /// Idempotent; must not race with `Covers` (freeze on the build thread,
-  /// then share).
-  void Seal(const std::vector<const Granularity*>& family);
+  /// Freezes coverage for `family` (listed in id order): decides every
+  /// ordered pair into a dense id×id matrix from `windows`, one walk per
+  /// member (`windows[id]`, nullopt past kMaxScanTick). Idempotent; must not
+  /// race with `Covers` (freeze on the build thread, then share).
+  void Seal(const std::vector<const Granularity*>& family,
+            const std::vector<std::optional<SupportWindow>>& windows);
 
   bool sealed() const { return sealed_; }
-
-  /// The sealed id×id matrix as plain data, row-major target×source.
-  /// Requires sealed().
-  std::vector<bool> ExportSealedMatrix() const;
-
-  /// Seals directly from a previously exported matrix, skipping the pairwise
-  /// SupportCovers scans — the persist warm-start path. `family` as for
-  /// `Seal`; `matrix` must be family-size squared. Fails (leaving the cache
-  /// unsealed) on any shape mismatch; values are trusted, provenance is the
-  /// caller's job (`GranularitySystem::FreezeFromImage`).
-  Status SealFromMatrix(const std::vector<const Granularity*>& family,
-                        std::vector<bool> matrix);
 
  private:
   using Key = std::pair<const Granularity*, const Granularity*>;
@@ -83,6 +72,11 @@ class SupportCoverageCache {
                   std::size_t{0x9e3779b97f4a7c15ULL} + (h << 6) + (h >> 2));
     }
   };
+
+  /// One walk per granularity for the pre-seal misses (nullopt past
+  /// kMaxScanTick), shared by every pair it appears in; Seal frees them.
+  std::shared_ptr<const std::optional<SupportWindow>> WindowFor(
+      const Granularity& g);
 
   static constexpr std::size_t kShards = 8;
 
@@ -96,6 +90,11 @@ class SupportCoverageCache {
   }
 
   Shard shards_[kShards];
+
+  std::mutex windows_mutex_;
+  std::unordered_map<const Granularity*,
+                     std::shared_ptr<const std::optional<SupportWindow>>>
+      windows_;
 
   /// Immutable after Seal. `sealed_matrix_[target_id * n + source_id]`
   /// holds the answer; `sealed_family_` doubles as the id → address guard

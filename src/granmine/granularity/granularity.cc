@@ -1,5 +1,7 @@
 #include "granmine/granularity/granularity.h"
 
+#include <algorithm>
+
 #include "granmine/common/check.h"
 #include "granmine/common/math.h"
 
@@ -24,6 +26,15 @@ std::optional<std::int64_t> Granularity::AnalyticMaxSize(std::int64_t) const {
 }
 std::optional<std::int64_t> Granularity::AnalyticMinGap(std::int64_t) const {
   return std::nullopt;
+}
+
+void AppendMerging(const TimeSpan& span, std::vector<TimeSpan>* out) {
+  if (span.empty()) return;
+  if (!out->empty() && out->back().last + 1 >= span.first) {
+    out->back().last = std::max(out->back().last, span.last);
+  } else {
+    out->push_back(span);
+  }
 }
 
 std::optional<std::int64_t> TickDifference(const Granularity& g, TimePoint t1,

@@ -110,6 +110,11 @@ class Granularity {
   GranularityId id_ = kInvalidGranularityId;
 };
 
+/// Appends `span` to `out`, merging with the last interval when adjacent or
+/// overlapping, so a list fed in increasing order stays maximal, disjoint
+/// and increasing (the `TickExtent` shape).
+void AppendMerging(const TimeSpan& span, std::vector<TimeSpan>* out);
+
 /// `⌈t2⌉^μ − ⌈t1⌉^μ` when both ticks are defined, else nullopt.
 std::optional<std::int64_t> TickDifference(const Granularity& g, TimePoint t1,
                                            TimePoint t2);

@@ -8,21 +8,6 @@
 
 namespace granmine {
 
-namespace {
-
-// Appends `span` to `out`, merging with the previous interval when adjacent
-// or overlapping, keeping the list maximal-disjoint-increasing.
-void AppendMerging(const TimeSpan& span, std::vector<TimeSpan>* out) {
-  if (span.empty()) return;
-  if (!out->empty() && out->back().last + 1 >= span.first) {
-    out->back().last = std::max(out->back().last, span.last);
-  } else {
-    out->push_back(span);
-  }
-}
-
-}  // namespace
-
 GroupGranularity::GroupGranularity(std::string name, const Granularity* base,
                                    std::int64_t k, std::int64_t phase)
     : Granularity(std::move(name)), base_(base), k_(k), phase_(phase) {

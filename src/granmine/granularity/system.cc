@@ -154,87 +154,13 @@ const Granularity* GranularitySystem::Find(std::string_view name) const {
 
 Status GranularitySystem::Freeze() {
   if (frozen_) return Status::OK();
-  tables_.Seal(family_);
-  coverage_.Seal(family_);
-  frozen_ = true;
-  return Status::OK();
-}
-
-Result<FrozenSystemImage> GranularitySystem::ExportFrozenImage() const {
-  if (!frozen_) {
-    return Status::Internal("ExportFrozenImage on an unfrozen system");
+  std::vector<std::optional<SupportWindow>> windows;
+  windows.reserve(family_.size());
+  for (const Granularity* g : family_) {
+    windows.push_back(SupportWindow::Walk(*g));
   }
-  FrozenSystemImage image;
-  image.sealed_k_cap = GranularityTables::kSealedKCap;
-  image.names.reserve(family_.size());
-  for (const Granularity* g : family_) image.names.push_back(g->name());
-  image.table_rows = tables_.ExportSealedRows();
-  image.coverage = coverage_.ExportSealedMatrix();
-  return image;
-}
-
-Status GranularitySystem::FreezeFromImage(const FrozenSystemImage& image) {
-  if (frozen_) return Status::Internal("system is already frozen");
-  if (image.sealed_k_cap != GranularityTables::kSealedKCap) {
-    return Status::Unsupported(
-        "frozen image was sealed with k cap " +
-        std::to_string(image.sealed_k_cap) + "; this build uses " +
-        std::to_string(GranularityTables::kSealedKCap));
-  }
-  if (image.names.size() != family_.size()) {
-    return Status::Invalid("frozen image describes " +
-                           std::to_string(image.names.size()) +
-                           " granularities; this system has " +
-                           std::to_string(family_.size()));
-  }
-  const std::size_t n = family_.size();
-  const std::size_t width =
-      static_cast<std::size_t>(GranularityTables::kSealedKCap) + 1;
-  if (image.table_rows.size() != n || image.coverage.size() != n * n) {
-    return Status::Invalid("frozen image tables/coverage do not match a "
-                           "family of " + std::to_string(n));
-  }
-  for (std::size_t id = 0; id < n; ++id) {
-    if (image.names[id] != family_[id]->name()) {
-      return Status::Invalid("frozen image granularity " + std::to_string(id) +
-                             " is named '" + image.names[id] +
-                             "'; this system has '" + family_[id]->name() +
-                             "'");
-    }
-    const GranularityTables::SealedRow& row = image.table_rows[id];
-    if (row.minsize.size() != width || row.maxsize.size() != width ||
-        row.mingap.size() != width) {
-      return Status::Invalid("frozen image row for '" + image.names[id] +
-                             "' has the wrong k span");
-    }
-  }
-  // Names matching is necessary but not sufficient — the same name can be
-  // registered with a different definition. Recomputing the cheapest table
-  // values (k = 1, 2) through the unsealed memo path and comparing them to
-  // the image catches that without paying for a full re-seal.
-  for (std::size_t id = 0; id < n; ++id) {
-    const Granularity& g = *family_[id];
-    const GranularityTables::SealedRow& row = image.table_rows[id];
-    for (std::int64_t k = 1;
-         k <= 2 && k <= GranularityTables::kSealedKCap; ++k) {
-      const auto sealed = [&](const std::vector<std::int64_t>& table) {
-        const std::int64_t raw = table[static_cast<std::size_t>(k)];
-        return raw == GranularityTables::kSealedNoValue
-                   ? std::optional<std::int64_t>()
-                   : std::optional<std::int64_t>(raw);
-      };
-      if (tables_.MinSize(g, k) != sealed(row.minsize) ||
-          tables_.MaxSize(g, k) != sealed(row.maxsize) ||
-          tables_.MinGap(g, k) != sealed(row.mingap)) {
-        return Status::Invalid(
-            "frozen image tables for '" + g.name() + "' disagree with this "
-            "system's definition at k=" + std::to_string(k) +
-            "; refusing warm start");
-      }
-    }
-  }
-  GM_RETURN_NOT_OK(tables_.SealFromRows(family_, image.table_rows));
-  GM_RETURN_NOT_OK(coverage_.SealFromMatrix(family_, image.coverage));
+  coverage_.Seal(family_, windows);
+  tables_.Seal(family_, std::move(windows));
   frozen_ = true;
   return Status::OK();
 }

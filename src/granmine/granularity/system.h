@@ -8,7 +8,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "granmine/common/result.h"
 #include "granmine/common/status.h"
 #include "granmine/granularity/calendar_types.h"
 #include "granmine/granularity/civil_calendar.h"
@@ -21,21 +20,6 @@
 #include "granmine/granularity/uniform.h"
 
 namespace granmine {
-
-/// A frozen system's sealed caches as plain data: the family names in id
-/// order (the identity check on restore), every granularity's sealed table
-/// rows, and the support-coverage matrix. Produced by
-/// `GranularitySystem::ExportFrozenImage`, consumed by `FreezeFromImage`;
-/// the persist layer (de)serializes it (persist/codecs.h) so `Engine` can
-/// warm-start from a snapshot instead of re-running the `Freeze()` scans.
-struct FrozenSystemImage {
-  std::vector<std::string> names;
-  /// The kSealedKCap the rows were computed with; rejected on mismatch.
-  std::int64_t sealed_k_cap = 0;
-  std::vector<GranularityTables::SealedRow> table_rows;
-  /// Row-major target×source, names.size() squared.
-  std::vector<bool> coverage;
-};
 
 /// Owns a family of granularities over one primitive time line, plus the
 /// shared caches (Appendix-A.1 tables and support-coverage results) that the
@@ -94,25 +78,14 @@ class GranularitySystem {
   /// Looks up a granularity by name; nullptr when absent.
   const Granularity* Find(std::string_view name) const;
 
-  /// Ends the build phase: precomputes the table/coverage caches into dense
-  /// id-indexed arrays and rejects further `Add*` calls. Idempotent; call
-  /// from the build thread before sharing the system. Always succeeds (an
-  /// empty family freezes fine).
+  /// Ends the build phase: walks each granularity's support window once
+  /// (`SupportWindow`), precomputes the table/coverage caches from those
+  /// walks into dense id-indexed arrays, and rejects further `Add*` calls.
+  /// Idempotent; call from the build thread before sharing the system.
+  /// Always succeeds (an empty family freezes fine).
   Status Freeze();
 
   bool frozen() const { return frozen_; }
-
-  /// The frozen caches as plain data for snapshotting. Requires frozen().
-  Result<FrozenSystemImage> ExportFrozenImage() const;
-
-  /// Ends the build phase by installing a previously exported image instead
-  /// of recomputing the seal scans (warm start). The image must come from a
-  /// family with the same names in the same id order; on top of the name
-  /// check, table values for k = 1 and 2 are recomputed and compared so an
-  /// image from a structurally different *definition* of the same names is
-  /// rejected too. Fails without freezing on any mismatch — the system then
-  /// still accepts a plain `Freeze()`.
-  Status FreezeFromImage(const FrozenSystemImage& image);
 
   /// The registered granularities in id order: `family()[g->id()] == g`.
   const std::vector<const Granularity*>& family() const { return family_; }

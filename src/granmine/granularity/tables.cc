@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <mutex>
+#include <utility>
 
 #include "granmine/common/check.h"
 #include "granmine/common/math.h"
@@ -9,33 +10,33 @@
 
 namespace granmine {
 
-GranularityTables::GranularityTables() : GranularityTables(Options{}) {}
-
-GranularityTables::GranularityTables(Options options) : options_(options) {}
-
-void GranularityTables::Seal(const std::vector<const Granularity*>& family) {
+void GranularityTables::Seal(
+    const std::vector<const Granularity*>& family,
+    std::vector<std::optional<SupportWindow>> windows) {
   if (sealed_) return;
+  GM_CHECK(windows.size() == family.size());
   sealed_entries_.clear();
   sealed_entries_.resize(family.size());
   for (std::size_t id = 0; id < family.size(); ++id) {
     const Granularity* g = family[id];
     GM_CHECK(g != nullptr);
     GM_CHECK(g->id() == static_cast<GranularityId>(id));
+    std::optional<SupportWindow>& window = windows[id];
     SealedEntry& slot = sealed_entries_[id];
-    slot.minsize.assign(static_cast<std::size_t>(kSealedKCap) + 1,
-                        kSealedNoValue);
-    slot.maxsize.assign(static_cast<std::size_t>(kSealedKCap) + 1,
-                        kSealedNoValue);
-    slot.mingap.assign(static_cast<std::size_t>(kSealedKCap) + 1,
-                       kSealedNoValue);
-    for (std::int64_t k = 1; k <= kSealedKCap; ++k) {
-      auto store = [k](std::vector<std::int64_t>& table,
-                       std::optional<std::int64_t> v) {
-        table[static_cast<std::size_t>(k)] = v.value_or(kSealedNoValue);
-      };
-      store(slot.minsize, MinSize(*g, k));
-      store(slot.maxsize, MaxSize(*g, k));
-      store(slot.mingap, MinGap(*g, k));
+    for (std::size_t t = 0; t < kTables; ++t) {
+      const Table table = static_cast<Table>(t);
+      std::vector<std::int64_t>& row = slot.rows[t];
+      row.assign(static_cast<std::size_t>(kSealedKCap) + 1, kSealedNoValue);
+      for (std::int64_t k = 1; k <= kSealedKCap; ++k) {
+        std::optional<std::int64_t> v = Analytic(table, *g, k);
+        if (!v.has_value() && window.has_value()) v = Scan(table, *window, k);
+        row[static_cast<std::size_t>(k)] = v.value_or(kSealedNoValue);
+      }
+    }
+    // k past the sealed cap stays on the memo, which scans the same hulls.
+    if (window.has_value()) {
+      window->DropSupport();
+      EntryFor(*g).window = std::move(window);
     }
     // Publish the guard pointer last: SealedValue only trusts a slot whose
     // address matches, so a granularity from a *different* system that
@@ -43,56 +44,6 @@ void GranularityTables::Seal(const std::vector<const Granularity*>& family) {
     slot.gran = g;
   }
   sealed_ = true;
-}
-
-std::vector<GranularityTables::SealedRow> GranularityTables::ExportSealedRows()
-    const {
-  GM_CHECK(sealed_) << "ExportSealedRows on unsealed tables";
-  std::vector<SealedRow> rows;
-  rows.reserve(sealed_entries_.size());
-  for (const SealedEntry& slot : sealed_entries_) {
-    rows.push_back(SealedRow{slot.minsize, slot.maxsize, slot.mingap});
-  }
-  return rows;
-}
-
-Status GranularityTables::SealFromRows(
-    const std::vector<const Granularity*>& family,
-    std::vector<SealedRow> rows) {
-  if (sealed_) {
-    return Status::Internal("granularity tables are already sealed");
-  }
-  if (rows.size() != family.size()) {
-    return Status::Invalid("sealed-table image has " +
-                           std::to_string(rows.size()) + " rows for a family "
-                           "of " + std::to_string(family.size()));
-  }
-  const std::size_t width = static_cast<std::size_t>(kSealedKCap) + 1;
-  for (std::size_t id = 0; id < family.size(); ++id) {
-    const Granularity* g = family[id];
-    if (g == nullptr || g->id() != static_cast<GranularityId>(id)) {
-      return Status::Invalid("family member " + std::to_string(id) +
-                             " is not id-indexed; cannot seal from rows");
-    }
-    const SealedRow& row = rows[id];
-    if (row.minsize.size() != width || row.maxsize.size() != width ||
-        row.mingap.size() != width) {
-      return Status::Invalid("sealed-table row for '" + g->name() +
-                             "' does not span k in [1, " +
-                             std::to_string(kSealedKCap) + "]");
-    }
-  }
-  sealed_entries_.clear();
-  sealed_entries_.resize(family.size());
-  for (std::size_t id = 0; id < family.size(); ++id) {
-    SealedEntry& slot = sealed_entries_[id];
-    slot.minsize = std::move(rows[id].minsize);
-    slot.maxsize = std::move(rows[id].maxsize);
-    slot.mingap = std::move(rows[id].mingap);
-    slot.gran = family[id];
-  }
-  sealed_ = true;
-  return Status::OK();
 }
 
 std::optional<std::optional<std::int64_t>> GranularityTables::SealedValue(
@@ -104,19 +55,8 @@ std::optional<std::optional<std::int64_t>> GranularityTables::SealedValue(
   }
   const SealedEntry& slot = sealed_entries_[static_cast<std::size_t>(id)];
   if (slot.gran != &g) return std::nullopt;
-  const std::vector<std::int64_t>* values = nullptr;
-  switch (table) {
-    case Table::kMinSize:
-      values = &slot.minsize;
-      break;
-    case Table::kMaxSize:
-      values = &slot.maxsize;
-      break;
-    default:
-      values = &slot.mingap;
-      break;
-  }
-  std::int64_t v = (*values)[static_cast<std::size_t>(k)];
+  const std::int64_t v = slot.rows[static_cast<std::size_t>(table)]
+                                  [static_cast<std::size_t>(k)];
   if (v == kSealedNoValue) {
     return std::optional<std::optional<std::int64_t>>(std::nullopt);
   }
@@ -136,106 +76,94 @@ GranularityTables::Entry& GranularityTables::EntryFor(const Granularity& g) {
   return *slot;
 }
 
-std::optional<TimeSpan> GranularityTables::HullAt(Entry& entry,
-                                                  const Granularity& g,
-                                                  Tick z) {
-  GM_CHECK(z >= 1);
-  if (z > options_.hull_cache_cap) return std::nullopt;
-  std::size_t index = static_cast<std::size_t>(z - 1);
-  if (index >= entry.hulls.size()) {
-    std::size_t old = entry.hulls.size();
-    entry.hulls.resize(
-        std::max<std::size_t>(index + 1, old + old / 2 + 16));
-    for (std::size_t i = old; i < entry.hulls.size(); ++i) {
-      std::optional<TimeSpan> hull = g.TickHull(static_cast<Tick>(i) + 1);
-      GM_CHECK(hull.has_value());
-      entry.hulls[i] = *hull;
-    }
+std::optional<std::int64_t> GranularityTables::Analytic(Table table,
+                                                        const Granularity& g,
+                                                        std::int64_t k) {
+  switch (table) {
+    case Table::kMinSize:
+      return g.AnalyticMinSize(k);
+    case Table::kMaxSize:
+      return g.AnalyticMaxSize(k);
+    case Table::kMinGap:
+      return g.AnalyticMinGap(k);
   }
-  return entry.hulls[index];
+  return std::nullopt;
 }
 
-std::int64_t GranularityTables::ScanStarts(const Granularity& g) const {
-  // Hulls of ticks past LastDeviantTick() follow the periodic pattern, so
-  // start positions [1, LastDeviantTick + ticks_per_period] exhibit every
-  // possible span/gap shape (see DESIGN.md).
-  return g.LastDeviantTick() + g.periodicity().ticks_per_period;
+std::optional<std::int64_t> GranularityTables::Scan(
+    Table table, const SupportWindow& window, std::int64_t k) {
+  // Hulls of ticks past the exception window follow the periodic pattern, so
+  // the window's start positions exhibit every possible span/gap shape (see
+  // DESIGN.md).
+  const Tick offset = table == Table::kMinGap ? k : k - 1;
+  if (offset > kMaxScanTick - window.size()) return std::nullopt;
+  const bool maximize = table == Table::kMaxSize;
+  std::int64_t best = maximize ? 0 : kInfinity;
+  for (Tick i = 1; i <= window.size(); ++i) {
+    const TimeSpan lo = window.Hull(i);
+    const TimeSpan hi = window.Hull(i + offset);
+    const std::int64_t value = table == Table::kMinGap
+                                   ? hi.first - lo.last
+                                   : hi.last - lo.first + 1;
+    best = maximize ? std::max(best, value) : std::min(best, value);
+  }
+  return best;
 }
 
 std::optional<std::int64_t> GranularityTables::ScannedValue(
     Table table, const Granularity& g, std::int64_t k) {
   Entry& entry = EntryFor(g);
-  auto memo_of = [&](Entry& e) -> std::unordered_map<std::int64_t,
-                                                     std::int64_t>& {
-    switch (table) {
-      case Table::kMinSize:
-        return e.minsize;
-      case Table::kMaxSize:
-        return e.maxsize;
-      default:
-        return e.mingap;
-    }
-  };
+  auto& memo = entry.memo[static_cast<std::size_t>(table)];
   {
     std::shared_lock<std::shared_mutex> lock(entry.mutex);
-    const auto& memo = memo_of(entry);
     if (auto it = memo.find(k); it != memo.end()) {
       GM_COUNTER_ADD("granmine_tables_lookups_total", "result=\"hit\"", 1);
       return it->second;
     }
   }
-  // Miss: scan under the exclusive lock (HullAt mutates the hull cache).
+  // Miss: scan under the exclusive lock (the first scan walks the window).
   // Re-check first — another thread may have computed k while we waited.
   std::unique_lock<std::shared_mutex> lock(entry.mutex);
-  auto& memo = memo_of(entry);
   if (auto it = memo.find(k); it != memo.end()) {
     GM_COUNTER_ADD("granmine_tables_lookups_total", "result=\"hit\"", 1);
     return it->second;
   }
   GM_COUNTER_ADD("granmine_tables_lookups_total", "result=\"miss\"", 1);
-  const bool maximize = table == Table::kMaxSize;
-  const Tick hi_offset = table == Table::kMinGap ? k : k - 1;
-  std::int64_t starts = ScanStarts(g);
-  std::int64_t best = maximize ? 0 : kInfinity;
-  for (Tick i = 1; i <= starts; ++i) {
-    std::optional<TimeSpan> lo = HullAt(entry, g, i);
-    std::optional<TimeSpan> hi = HullAt(entry, g, i + hi_offset);
-    if (!lo.has_value() || !hi.has_value()) return std::nullopt;
-    std::int64_t value = table == Table::kMinGap
-                             ? hi->first - lo->last
-                             : hi->last - lo->first + 1;
-    best = maximize ? std::max(best, value) : std::min(best, value);
+  if (!entry.window.has_value()) {
+    entry.window = SupportWindow::Walk(g);
+    if (!entry.window.has_value()) return std::nullopt;  // past the cap
+    entry.window->DropSupport();
   }
-  memo.emplace(k, best);
-  return best;
+  std::optional<std::int64_t> value = Scan(table, *entry.window, k);
+  if (value.has_value()) memo.emplace(k, *value);
+  return value;
+}
+
+std::optional<std::int64_t> GranularityTables::Lookup(Table table,
+                                                      const Granularity& g,
+                                                      std::int64_t k) {
+  if (auto sealed = SealedValue(table, g, k); sealed.has_value()) {
+    GM_COUNTER_ADD("granmine_tables_lookups_total", "result=\"sealed\"", 1);
+    return *sealed;
+  }
+  if (std::optional<std::int64_t> v = Analytic(table, g, k); v.has_value()) {
+    return v;
+  }
+  return ScannedValue(table, g, k);
 }
 
 std::optional<std::int64_t> GranularityTables::MinSize(const Granularity& g,
                                                        std::int64_t k) {
   GM_CHECK(k >= 0);
   if (k == 0) return 0;
-  if (auto sealed = SealedValue(Table::kMinSize, g, k); sealed.has_value()) {
-    GM_COUNTER_ADD("granmine_tables_lookups_total", "result=\"sealed\"", 1);
-    return *sealed;
-  }
-  if (std::optional<std::int64_t> v = g.AnalyticMinSize(k); v.has_value()) {
-    return v;
-  }
-  return ScannedValue(Table::kMinSize, g, k);
+  return Lookup(Table::kMinSize, g, k);
 }
 
 std::optional<std::int64_t> GranularityTables::MaxSize(const Granularity& g,
                                                        std::int64_t k) {
   GM_CHECK(k >= 0);
   if (k == 0) return 0;
-  if (auto sealed = SealedValue(Table::kMaxSize, g, k); sealed.has_value()) {
-    GM_COUNTER_ADD("granmine_tables_lookups_total", "result=\"sealed\"", 1);
-    return *sealed;
-  }
-  if (std::optional<std::int64_t> v = g.AnalyticMaxSize(k); v.has_value()) {
-    return v;
-  }
-  return ScannedValue(Table::kMaxSize, g, k);
+  return Lookup(Table::kMaxSize, g, k);
 }
 
 std::optional<std::int64_t> GranularityTables::MinGap(const Granularity& g,
@@ -246,109 +174,76 @@ std::optional<std::int64_t> GranularityTables::MinGap(const Granularity& g,
     if (!max1.has_value()) return std::nullopt;
     return 1 - *max1;
   }
-  if (auto sealed = SealedValue(Table::kMinGap, g, k); sealed.has_value()) {
-    GM_COUNTER_ADD("granmine_tables_lookups_total", "result=\"sealed\"", 1);
-    return *sealed;
+  return Lookup(Table::kMinGap, g, k);
+}
+
+std::optional<std::int64_t> GranularityTables::LeastTicksAbove(
+    Table table, const Granularity& g, std::int64_t threshold,
+    std::int64_t reach, std::int64_t bound, std::int64_t lo) {
+  const Granularity::Periodicity p = g.periodicity();
+  const std::int64_t periods = FloorDiv(reach, p.period) + 2;
+  const std::int64_t by_period = periods > kInfinity / p.ticks_per_period
+                                     ? kInfinity
+                                     : periods * p.ticks_per_period;
+  std::int64_t hi = std::max<std::int64_t>(std::min(bound, by_period), 1);
+  // Whether the table at s exceeds the threshold; nullopt when it has no
+  // value within the caps.
+  const auto above = [&](std::int64_t s) -> std::optional<bool> {
+    std::optional<std::int64_t> v;
+    switch (table) {
+      case Table::kMinSize:
+        v = MinSize(g, s);
+        break;
+      case Table::kMaxSize:
+        v = MaxSize(g, s);
+        break;
+      case Table::kMinGap:
+        v = MinGap(g, s);
+        break;
+    }
+    if (!v.has_value()) return std::nullopt;
+    return *v > threshold;
+  };
+  std::optional<bool> at_hi = above(hi);
+  while (at_hi.has_value() && !*at_hi) {  // defensive; should not trigger
+    hi *= 2;
+    at_hi = above(hi);
   }
-  if (std::optional<std::int64_t> v = g.AnalyticMinGap(k); v.has_value()) {
-    return v;
+  if (!at_hi.has_value()) return std::nullopt;
+  while (lo < hi) {
+    const std::int64_t mid = lo + (hi - lo) / 2;
+    std::optional<bool> v = above(mid);
+    if (!v.has_value()) return std::nullopt;
+    if (*v) {
+      hi = mid;
+    } else {
+      lo = mid + 1;
+    }
   }
-  return ScannedValue(Table::kMinGap, g, k);
+  return lo;
 }
 
 std::optional<std::int64_t> GranularityTables::LeastTicksCovering(
     const Granularity& g, std::int64_t x) {
   GM_CHECK(x >= 1);
   // minsize is strictly increasing in s and minsize(s) >= s, so the answer
-  // (if representable) is at most x; tighten via the periodic structure.
-  const Granularity::Periodicity p = g.periodicity();
-  std::int64_t periods = FloorDiv(x, p.period) + 2;
-  std::int64_t by_period = periods > kInfinity / p.ticks_per_period
-                               ? kInfinity
-                               : periods * p.ticks_per_period;
-  std::int64_t hi = std::max<std::int64_t>(std::min(x, by_period), 1);
-  std::optional<std::int64_t> at_hi = MinSize(g, hi);
-  if (!at_hi.has_value()) return std::nullopt;
-  while (*at_hi < x) {  // defensive; should not trigger
-    hi *= 2;
-    at_hi = MinSize(g, hi);
-    if (!at_hi.has_value()) return std::nullopt;
-  }
-  std::int64_t lo = 1;
-  while (lo < hi) {
-    std::int64_t mid = lo + (hi - lo) / 2;
-    std::optional<std::int64_t> v = MinSize(g, mid);
-    if (!v.has_value()) return std::nullopt;
-    if (*v >= x) {
-      hi = mid;
-    } else {
-      lo = mid + 1;
-    }
-  }
-  return lo;
+  // (if representable) is at most x: minsize(s) >= x, i.e. > x - 1.
+  return LeastTicksAbove(Table::kMinSize, g, x - 1, x, x, 1);
 }
 
 std::optional<std::int64_t> GranularityTables::LeastTicksExceeding(
     const Granularity& g, std::int64_t x) {
   if (x < 0) return 0;
   // maxsize is strictly increasing with maxsize(r) >= r; the answer is at
-  // most x + 1; tighten via periodicity.
-  const Granularity::Periodicity p = g.periodicity();
-  std::int64_t periods = FloorDiv(x, p.period) + 2;
-  std::int64_t by_period = periods > kInfinity / p.ticks_per_period
-                               ? kInfinity
-                               : periods * p.ticks_per_period;
-  std::int64_t hi = std::max<std::int64_t>(std::min(x + 1, by_period), 1);
-  std::optional<std::int64_t> at_hi = MaxSize(g, hi);
-  if (!at_hi.has_value()) return std::nullopt;
-  while (*at_hi <= x) {  // defensive; should not trigger
-    hi *= 2;
-    at_hi = MaxSize(g, hi);
-    if (!at_hi.has_value()) return std::nullopt;
-  }
-  std::int64_t lo = 0;
-  while (lo < hi) {
-    std::int64_t mid = lo + (hi - lo) / 2;
-    std::optional<std::int64_t> v = MaxSize(g, mid);
-    if (!v.has_value()) return std::nullopt;
-    if (*v > x) {
-      hi = mid;
-    } else {
-      lo = mid + 1;
-    }
-  }
-  return lo;
+  // most x + 1.
+  return LeastTicksAbove(Table::kMaxSize, g, x, x, x + 1, 0);
 }
 
 std::optional<std::int64_t> GranularityTables::LeastTicksWithGapExceeding(
     const Granularity& g, std::int64_t x) {
   // mingap(s) >= minsize(s-1) + 1 >= s, so the answer is at most x + 1.
-  const Granularity::Periodicity p = g.periodicity();
-  std::int64_t periods = FloorDiv(std::max<std::int64_t>(x, 0), p.period) + 2;
-  std::int64_t by_period = periods > kInfinity / p.ticks_per_period
-                               ? kInfinity
-                               : periods * p.ticks_per_period;
-  std::int64_t hi = std::max<std::int64_t>(
-      std::min(std::max<std::int64_t>(x, 0) + 1, by_period), 1);
-  std::optional<std::int64_t> at_hi = MinGap(g, hi);
-  if (!at_hi.has_value()) return std::nullopt;
-  while (*at_hi <= x) {  // defensive; should not trigger
-    hi *= 2;
-    at_hi = MinGap(g, hi);
-    if (!at_hi.has_value()) return std::nullopt;
-  }
-  std::int64_t lo = 1;
-  while (lo < hi) {
-    std::int64_t mid = lo + (hi - lo) / 2;
-    std::optional<std::int64_t> v = MinGap(g, mid);
-    if (!v.has_value()) return std::nullopt;
-    if (*v > x) {
-      hi = mid;
-    } else {
-      lo = mid + 1;
-    }
-  }
-  return lo;
+  const std::int64_t reach = std::max<std::int64_t>(x, 0);
+  return LeastTicksAbove(Table::kMinGap, g, x, reach, reach + 1, 1);
 }
 
 }  // namespace granmine

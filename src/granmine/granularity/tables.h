@@ -1,6 +1,8 @@
 #ifndef GRANMINE_GRANULARITY_TABLES_H_
 #define GRANMINE_GRANULARITY_TABLES_H_
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -9,8 +11,8 @@
 #include <unordered_map>
 #include <vector>
 
-#include "granmine/common/status.h"
 #include "granmine/granularity/granularity.h"
+#include "granmine/granularity/support.h"
 
 namespace granmine {
 
@@ -25,8 +27,9 @@ namespace granmine {
 /// Values are exact: uniform types answer in closed form; periodic types are
 /// scanned over one period of start positions (plus the finite exception
 /// window of holiday overlays), which covers every hull pattern the type can
-/// exhibit. Queries return nullopt only when a scan would exceed the
-/// configured cap; callers treat that conservatively (no bound derived).
+/// exhibit. The scans read the hulls of the type's `SupportWindow`, walked
+/// once per granularity. Queries return nullopt only when a scan would pass
+/// `kMaxScanTick`; callers treat that conservatively (no bound derived).
 ///
 /// Identity has two phases. While *building*, granularities are keyed by
 /// address in a sharded hashed directory; after `Seal()` (driven by
@@ -45,56 +48,23 @@ namespace granmine {
 /// docs/concurrency.md and docs/architecture.md.
 class GranularityTables {
  public:
-  struct Options {
-    /// Maximum tick index whose hull may be materialized per granularity.
-    std::int64_t hull_cache_cap = std::int64_t{1} << 20;
-  };
-
   /// Largest k precomputed per (granularity, table) by `Seal`. Constraint
   /// conversion and propagation consult small k almost exclusively; larger
   /// k (deep binary-search probes of the Least* queries) stay on the memo.
   static constexpr std::int64_t kSealedKCap = 128;
 
-  GranularityTables();
-  explicit GranularityTables(Options options);
-
   /// Freezes the table set for `family` (granularities listed in id order,
   /// `family[i]->id() == i`): precomputes minsize/maxsize/mingap for every
-  /// k in [1, kSealedKCap] into flat id-indexed arrays. Afterwards those
-  /// lookups are plain array reads; anything else falls back to the sharded
-  /// memo. Idempotent; must not race with queries (freeze on the build
+  /// k in [1, kSealedKCap] into flat id-indexed arrays, scanning
+  /// `windows[id]` (nullopt past kMaxScanTick). Afterwards those lookups are
+  /// plain array reads; anything else falls back to the sharded memo, which
+  /// keeps each window's hulls (its support lists are dropped) for deeper
+  /// scans. Idempotent; must not race with queries (freeze on the build
   /// thread, then share).
-  void Seal(const std::vector<const Granularity*>& family);
+  void Seal(const std::vector<const Granularity*>& family,
+            std::vector<std::optional<SupportWindow>> windows);
 
   bool sealed() const { return sealed_; }
-
-  /// One granularity's sealed tables as plain data: `minsize[k]` etc. for k
-  /// in [1, kSealedKCap] (index 0 unused, all three sized kSealedKCap + 1),
-  /// `kSealedNoValue` marking "query answered nullopt". The unit of the
-  /// persist warm-start image (docs/persistence.md).
-  struct SealedRow {
-    std::vector<std::int64_t> minsize;
-    std::vector<std::int64_t> maxsize;
-    std::vector<std::int64_t> mingap;
-  };
-
-  /// Sentinel inside sealed rows/entries for "no value within the caps".
-  static constexpr std::int64_t kSealedNoValue =
-      std::numeric_limits<std::int64_t>::min();
-
-  /// The sealed tables as plain data, one row per id in id order.
-  /// Requires sealed().
-  std::vector<SealedRow> ExportSealedRows() const;
-
-  /// Seals directly from previously exported rows, skipping the per-k scans
-  /// — the persist warm-start path. `family` as for `Seal`; `rows` must
-  /// carry one entry per family member with all three tables sized
-  /// kSealedKCap + 1. Fails (leaving the tables unsealed, memo path intact)
-  /// on any shape mismatch. The values themselves are trusted; callers
-  /// establish provenance first (`GranularitySystem::FreezeFromImage`
-  /// recomputes small k as a spot-check).
-  Status SealFromRows(const std::vector<const Granularity*>& family,
-                      std::vector<SealedRow> rows);
 
   /// minsize(g, k); k >= 0 (0 yields 0).
   std::optional<std::int64_t> MinSize(const Granularity& g, std::int64_t k);
@@ -119,48 +89,67 @@ class GranularityTables {
                                                          std::int64_t x);
 
  private:
+  /// The table function a scan computes; indexes the memo maps and sealed
+  /// rows, and selects the fold.
+  enum class Table { kMinSize, kMaxSize, kMinGap };
+  static constexpr std::size_t kTables = 3;
+
+  /// Sentinel inside sealed rows for "no value within the caps".
+  static constexpr std::int64_t kSealedNoValue =
+      std::numeric_limits<std::int64_t>::min();
+
   /// One per-granularity shard: its own lock plus the memoized tables.
   struct Entry {
     std::shared_mutex mutex;
-    std::vector<TimeSpan> hulls;  // hulls[i] = hull of tick i+1
-    std::unordered_map<std::int64_t, std::int64_t> minsize;
-    std::unordered_map<std::int64_t, std::int64_t> maxsize;
-    std::unordered_map<std::int64_t, std::int64_t> mingap;
+    /// The granularity's hulls, walked on the first scan (or handed over by
+    /// Seal) with the support lists dropped.
+    std::optional<SupportWindow> window;
+    std::array<std::unordered_map<std::int64_t, std::int64_t>, kTables> memo;
   };
 
-  /// The table function a scan computes; selects memo map and fold.
-  enum class Table { kMinSize, kMaxSize, kMinGap };
-
-  /// One frozen granularity's precomputed tables: `minsize[k]` etc. for k in
+  /// One frozen granularity's precomputed tables: `rows[table][k]` for k in
   /// [1, kSealedKCap] (index 0 unused), `kSealedNoValue` marking nullopt.
   /// `gran` guards against id collisions across systems: a lookup only
   /// trusts the slot when the address matches.
   struct SealedEntry {
     const Granularity* gran = nullptr;
-    std::vector<std::int64_t> minsize;
-    std::vector<std::int64_t> maxsize;
-    std::vector<std::int64_t> mingap;
+    std::array<std::vector<std::int64_t>, kTables> rows;
   };
 
   Entry& EntryFor(const Granularity& g);
+  /// One table value for k >= 1: sealed array, closed form, then memo.
+  std::optional<std::int64_t> Lookup(Table table, const Granularity& g,
+                                     std::int64_t k);
+  /// The closed-form value, when the type has one.
+  static std::optional<std::int64_t> Analytic(Table table,
+                                              const Granularity& g,
+                                              std::int64_t k);
+  /// The value scanned over the window's start positions; nullopt when a
+  /// scanned tick would pass kMaxScanTick.
+  static std::optional<std::int64_t> Scan(Table table,
+                                          const SupportWindow& window,
+                                          std::int64_t k);
   /// Memoized lookup/compute of one table value for k >= 1 (analytic paths
   /// already exhausted by the caller). Locks the entry internally.
   std::optional<std::int64_t> ScannedValue(Table table, const Granularity& g,
                                            std::int64_t k);
-  /// Hull of tick z via the per-granularity cache; nullopt past the cap.
-  /// Requires the entry's exclusive lock.
-  std::optional<TimeSpan> HullAt(Entry& entry, const Granularity& g, Tick z);
-  /// Number of distinct scan start positions needed for exactness.
-  std::int64_t ScanStarts(const Granularity& g) const;
+  /// Smallest s >= lo whose table value exceeds `threshold`, for a table
+  /// non-decreasing in s: bisection below min(bound, the ticks of
+  /// FloorDiv(reach, period) + 2 periods). Nullopt when a probed value has
+  /// none within the caps.
+  std::optional<std::int64_t> LeastTicksAbove(Table table, const Granularity& g,
+                                              std::int64_t threshold,
+                                              std::int64_t reach,
+                                              std::int64_t bound,
+                                              std::int64_t lo);
 
-  /// Sealed fast path of ScannedValue: the precomputed value for
+  /// Sealed fast path of Lookup: the precomputed value for
   /// (table, g, k), or nullopt when the lookup must fall back to the memo
   /// (not sealed, k out of range, or g outside the sealed family). The
   /// inner optional is the table answer itself (kSealedNoValue → nullopt).
   std::optional<std::optional<std::int64_t>> SealedValue(
       Table table, const Granularity& g, std::int64_t k) const;
 
-  Options options_;
   std::shared_mutex entries_mutex_;
   // unique_ptr values keep Entry addresses stable and the map movable even
   // though Entry itself (owning a mutex) is not.

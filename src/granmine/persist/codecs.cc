@@ -2,19 +2,15 @@
 
 #include <utility>
 
-#include "granmine/granularity/tables.h"
-
 namespace granmine::persist {
 
 namespace {
 
-/// Largest family / event count a decoder will allocate for. Far above any
-/// real snapshot; exists so a bit-flipped count fails with Invalid instead
-/// of an allocation attempt (the CRC catches flips first, but the decoders
-/// are also exercised standalone by the fuzz suite).
+/// Largest event count the decoder will allocate for. Far above any real
+/// snapshot; exists so a bit-flipped count fails with Invalid instead of an
+/// allocation attempt (the CRC catches flips first, but the decoder is also
+/// exercised standalone by the fuzz suite).
 constexpr std::uint64_t kMaxDecodedEvents = std::uint64_t{1} << 32;
-constexpr std::uint32_t kMaxDecodedFamily = 1u << 20;
-constexpr std::int64_t kMaxDecodedKCap = std::int64_t{1} << 16;
 
 }  // namespace
 
@@ -48,84 +44,6 @@ Result<EventSequence> DecodeEventSequence(const Section& section) {
   }
   GM_RETURN_NOT_OK(dec.ExpectEnd("event sequence"));
   return EventSequence(std::move(events));
-}
-
-std::vector<std::uint8_t> EncodeFrozenSystemImage(
-    const FrozenSystemImage& image) {
-  Encoder enc;
-  const std::uint32_t n = static_cast<std::uint32_t>(image.names.size());
-  enc.PutU32(n);
-  enc.PutI64(image.sealed_k_cap);
-  for (const std::string& name : image.names) enc.PutString(name);
-  for (const GranularityTables::SealedRow& row : image.table_rows) {
-    for (const std::vector<std::int64_t>* table :
-         {&row.minsize, &row.maxsize, &row.mingap}) {
-      for (std::int64_t v : *table) enc.PutI64(v);
-    }
-  }
-  // Coverage is bit-packed row-major, LSB-first within each byte.
-  std::uint8_t byte = 0;
-  int bit = 0;
-  for (std::size_t i = 0; i < image.coverage.size(); ++i) {
-    if (image.coverage[i]) byte |= static_cast<std::uint8_t>(1u << bit);
-    if (++bit == 8) {
-      enc.PutU8(byte);
-      byte = 0;
-      bit = 0;
-    }
-  }
-  if (bit != 0) enc.PutU8(byte);
-  return enc.buffer();
-}
-
-Result<FrozenSystemImage> DecodeFrozenSystemImage(const Section& section) {
-  Decoder dec(section.payload, section.payload_offset);
-  std::uint32_t n = 0;
-  FrozenSystemImage image;
-  GM_RETURN_NOT_OK(dec.GetU32("family size", &n));
-  GM_RETURN_NOT_OK(dec.GetI64("sealed k cap", &image.sealed_k_cap));
-  if (n > kMaxDecodedFamily) {
-    return dec.Corrupt("family size " + std::to_string(n) + " is implausible");
-  }
-  if (image.sealed_k_cap < 1 || image.sealed_k_cap > kMaxDecodedKCap) {
-    return dec.Corrupt("sealed k cap " + std::to_string(image.sealed_k_cap) +
-                       " is implausible");
-  }
-  image.names.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    std::string name;
-    GM_RETURN_NOT_OK(dec.GetString("granularity name", &name));
-    image.names.push_back(std::move(name));
-  }
-  const std::uint64_t width =
-      static_cast<std::uint64_t>(image.sealed_k_cap) + 1;
-  if (std::uint64_t{n} * 3 * width * 8 > dec.remaining()) {
-    return dec.Corrupt("sealed tables exceed payload");
-  }
-  image.table_rows.resize(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    GranularityTables::SealedRow& row = image.table_rows[i];
-    for (std::vector<std::int64_t>* table :
-         {&row.minsize, &row.maxsize, &row.mingap}) {
-      table->resize(static_cast<std::size_t>(width));
-      for (std::uint64_t k = 0; k < width; ++k) {
-        GM_RETURN_NOT_OK(dec.GetI64("sealed table value", &(*table)[k]));
-      }
-    }
-  }
-  const std::uint64_t cells = std::uint64_t{n} * n;
-  const std::uint64_t packed = (cells + 7) / 8;
-  if (packed > dec.remaining()) {
-    return dec.Corrupt("coverage matrix exceeds payload");
-  }
-  image.coverage.resize(static_cast<std::size_t>(cells));
-  std::uint8_t byte = 0;
-  for (std::uint64_t i = 0; i < cells; ++i) {
-    if (i % 8 == 0) GM_RETURN_NOT_OK(dec.GetU8("coverage byte", &byte));
-    image.coverage[static_cast<std::size_t>(i)] = ((byte >> (i % 8)) & 1u) != 0;
-  }
-  GM_RETURN_NOT_OK(dec.ExpectEnd("frozen system image"));
-  return image;
 }
 
 }  // namespace granmine::persist

@@ -5,25 +5,18 @@
 #include <vector>
 
 #include "granmine/common/result.h"
-#include "granmine/granularity/system.h"
 #include "granmine/persist/snapshot.h"
 #include "granmine/sequence/sequence.h"
 
 namespace granmine::persist {
 
-/// Section codecs for the kFrozenSystemImage and kEventSequence payloads
-/// (docs/persistence.md). Encoders produce a payload for
-/// SnapshotWriter::WriteSection; decoders consume a CRC-verified Section and
-/// report corruption with absolute byte offsets via the Decoder contract.
-/// Decoding validates structure only — matching a frozen image against a
-/// live family is `GranularitySystem::FreezeFromImage`'s job.
+/// Section codec for the kEventSequence payload (docs/persistence.md). The
+/// encoder produces a payload for SnapshotWriter::WriteSection; the decoder
+/// consumes a CRC-verified Section and reports corruption with absolute byte
+/// offsets via the Decoder contract.
 
 std::vector<std::uint8_t> EncodeEventSequence(const EventSequence& sequence);
 Result<EventSequence> DecodeEventSequence(const Section& section);
-
-std::vector<std::uint8_t> EncodeFrozenSystemImage(
-    const FrozenSystemImage& image);
-Result<FrozenSystemImage> DecodeFrozenSystemImage(const Section& section);
 
 }  // namespace granmine::persist
 

@@ -43,7 +43,9 @@ inline constexpr std::uint32_t kSnapshotFormatVersion = 1;
 /// Section payload types. Values are wire format — append, never renumber.
 enum class SectionType : std::uint32_t {
   kEnd = 0,                ///< trailer; empty payload
-  kFrozenSystemImage = 1,  ///< sealed granularity tables + coverage matrix
+  /// Reserved: the retired frozen-family image (sealed tables + coverage).
+  /// Restores skip it and re-freeze; never reuse the number.
+  kRetiredFrozenImage = 1,
   kEventSequence = 2,      ///< a batch event sequence
   kStreamSession = 3,      ///< full OnlineMiner dynamic state
   kMeta = 4,               ///< free-form producer string (skippable)

@@ -5,14 +5,17 @@
 //    and chained split;
 //  - container: header/section/trailer framing roundtrips, unknown section
 //    types are forward-skippable, truncation is Invalid with a byte offset;
-//  - warm start: FreezeFromImage installs sealed caches identical to a cold
-//    Freeze and refuses an image from a different family;
+//  - restore: a snapshot — an old one carrying the retired frozen-family
+//    image section too — restores into a cold-frozen engine whose Mine
+//    reply equals a fresh engine's, with the stored sequence returned;
 //  - stream checkpoint/restore: the crash-recovery differential — kill the
 //    session at EVERY checkpoint boundary, restore, finish the stream, and
 //    both the report and the next checkpoint's bytes must be identical to an
 //    uninterrupted run, at 1 and 4 threads;
 //  - crash safety: an abandoned or governor-cancelled write leaves no
-//    partial file; checkpoint I/O is charged to the governor.
+//    partial file; checkpoint I/O is charged to the governor;
+//  - observability: snapshot restores and checkpoint resumes count on
+//    separate counters.
 
 #include <gtest/gtest.h>
 
@@ -28,11 +31,15 @@
 #include "granmine/engine/engine.h"
 #include "granmine/granularity/system.h"
 #include "granmine/mining/miner.h"
+#include "granmine/obs/metrics.h"
+#include "granmine/obs/obs.h"
+#include "granmine/paper/figures.h"
 #include "granmine/persist/bytes.h"
 #include "granmine/persist/codecs.h"
 #include "granmine/persist/crc32c.h"
 #include "granmine/persist/snapshot.h"
 #include "granmine/persist/stream_codec.h"
+#include "granmine/sequence/generators.h"
 #include "granmine/stream/online_miner.h"
 
 namespace granmine {
@@ -265,70 +272,40 @@ TEST(CodecTest, EventSequenceRoundtrips) {
   }
 }
 
-TEST(CodecTest, FrozenImageRoundtripsAndWarmStartEqualsColdFreeze) {
-  // Cold system: freeze computes the sealed caches from the definitions.
-  GranularitySystem cold;
-  const Granularity* unit = cold.AddUniform("unit", 1);
-  const Granularity* triple = cold.AddUniform("triple", 3);
-  ASSERT_NE(unit, nullptr);
-  ASSERT_NE(triple, nullptr);
-  ASSERT_TRUE(cold.Freeze().ok());
-  Result<FrozenSystemImage> image = cold.ExportFrozenImage();
-  ASSERT_TRUE(image.ok()) << image.status();
-
-  // Codec roundtrip.
-  Section section;
-  section.type = SectionType::kFrozenSystemImage;
-  section.payload = persist::EncodeFrozenSystemImage(*image);
-  Result<FrozenSystemImage> decoded =
-      persist::DecodeFrozenSystemImage(section);
-  ASSERT_TRUE(decoded.ok()) << decoded.status();
-
-  // Warm system: same definitions, caches installed from the image.
-  GranularitySystem warm;
-  const Granularity* warm_unit = warm.AddUniform("unit", 1);
-  const Granularity* warm_triple = warm.AddUniform("triple", 3);
-  ASSERT_TRUE(warm.FreezeFromImage(*decoded).ok());
-  ASSERT_TRUE(warm.frozen());
-
-  for (std::int64_t k = 1; k <= 64; ++k) {
-    EXPECT_EQ(cold.tables().MinSize(*unit, k),
-              warm.tables().MinSize(*warm_unit, k));
-    EXPECT_EQ(cold.tables().MaxSize(*triple, k),
-              warm.tables().MaxSize(*warm_triple, k));
-    EXPECT_EQ(cold.tables().MinGap(*triple, k),
-              warm.tables().MinGap(*warm_triple, k));
-  }
-  EXPECT_EQ(cold.coverage().Covers(*triple, *unit),
-            warm.coverage().Covers(*warm_triple, *warm_unit));
-  EXPECT_EQ(cold.coverage().Covers(*unit, *triple),
-            warm.coverage().Covers(*warm_unit, *warm_triple));
-}
-
-TEST(CodecTest, WarmStartRefusesImageFromDifferentFamily) {
-  GranularitySystem origin;
-  ASSERT_NE(origin.AddUniform("unit", 1), nullptr);
-  ASSERT_TRUE(origin.Freeze().ok());
-  Result<FrozenSystemImage> image = origin.ExportFrozenImage();
-  ASSERT_TRUE(image.ok());
-
-  // Same name, different definition: the spot check must catch that the
-  // sealed tables disagree with this system's semantics.
-  GranularitySystem different;
-  ASSERT_NE(different.AddUniform("unit", 2), nullptr);
-  Status mismatch = different.FreezeFromImage(*image);
-  EXPECT_EQ(mismatch.code(), StatusCode::kInvalidArgument) << mismatch;
-  EXPECT_FALSE(different.frozen());
-
-  // Different family shape: refused before any table comparison.
-  GranularitySystem renamed;
-  ASSERT_NE(renamed.AddUniform("other", 1), nullptr);
-  EXPECT_EQ(renamed.FreezeFromImage(*image).code(),
-            StatusCode::kInvalidArgument);
-}
-
 // ---------------------------------------------------------------------------
-// Engine snapshot / warm start.
+// Engine snapshot / restore.
+
+std::string FormatReport(const MiningReport& report) {
+  std::string out;
+  char buffer[256];
+  auto append = [&](const char* format, auto... args) {
+    std::snprintf(buffer, sizeof(buffer), format, args...);
+    out += buffer;
+  };
+  append("roots=%zu events=%zu/%zu cand=%llu/%llu runs=%llu configs=%llu\n",
+         report.total_roots, report.events_before,
+         report.events_after_reduction,
+         static_cast<unsigned long long>(report.candidates_before),
+         static_cast<unsigned long long>(report.candidates_after_screening),
+         static_cast<unsigned long long>(report.tag_runs),
+         static_cast<unsigned long long>(report.matcher_configurations));
+  const MiningCompleteness& c = report.completeness;
+  append("complete=%d stop=%d confirmed=%llu refuted=%llu unknown=%llu\n",
+         c.complete ? 1 : 0, static_cast<int>(c.stop),
+         static_cast<unsigned long long>(c.confirmed),
+         static_cast<unsigned long long>(c.refuted),
+         static_cast<unsigned long long>(c.unknown));
+  for (const DiscoveredType& solution : report.solutions) {
+    out += "sol";
+    for (EventTypeId type : solution.assignment) {
+      append(" %d", type);
+    }
+    append(" matched=%zu freq=%.17g\n", solution.matched_roots,
+           solution.frequency);
+  }
+  return out;
+}
+
 
 TEST(EngineSnapshotTest, SaveThenFromSnapshotServesIdenticalResults) {
   const std::string path = TempPath("engine_snapshot.bin");
@@ -346,16 +323,16 @@ TEST(EngineSnapshotTest, SaveThenFromSnapshotServesIdenticalResults) {
   ASSERT_TRUE((*cold)->SaveSnapshot(path, save).ok());
 
   EventSequence restored_sequence;
-  Result<std::unique_ptr<Engine>> warm = Engine::FromSnapshot(
+  Result<std::unique_ptr<Engine>> restored = Engine::FromSnapshot(
       GranularitySystem::Gregorian(), path, EngineOptions{},
       &restored_sequence);
-  ASSERT_TRUE(warm.ok()) << warm.status();
-  ASSERT_TRUE((*warm)->frozen());
+  ASSERT_TRUE(restored.ok()) << restored.status();
+  ASSERT_TRUE((*restored)->frozen());
   ASSERT_EQ(restored_sequence.size(), sequence.size());
 
-  // The warm engine's sealed caches answer identically to the cold one's.
+  // The restored engine's sealed caches answer identically to the cold one's.
   const GranularitySystem& a = *(*cold)->system();
-  const GranularitySystem& b = *(*warm)->system();
+  const GranularitySystem& b = *(*restored)->system();
   ASSERT_EQ(a.family().size(), b.family().size());
   for (std::size_t g = 0; g < a.family().size(); ++g) {
     for (std::int64_t k : {1, 2, 7, 30}) {
@@ -370,8 +347,8 @@ TEST(EngineSnapshotTest, SaveThenFromSnapshotServesIdenticalResults) {
   std::remove(path.c_str());
 }
 
-TEST(EngineSnapshotTest, FromSnapshotWithoutImageSectionIsInvalid) {
-  const std::string path = TempPath("no_image.bin");
+TEST(EngineSnapshotTest, FromSnapshotWithoutSectionsFreezesCold) {
+  const std::string path = TempPath("no_sections.bin");
   {
     Result<std::unique_ptr<persist::AtomicFileSink>> sink =
         persist::AtomicFileSink::Open(path);
@@ -381,10 +358,78 @@ TEST(EngineSnapshotTest, FromSnapshotWithoutImageSectionIsInvalid) {
     ASSERT_TRUE(writer.Finish().ok());
     ASSERT_TRUE((*sink)->Commit().ok());
   }
-  Result<std::unique_ptr<Engine>> warm =
-      Engine::FromSnapshot(GranularitySystem::Gregorian(), path);
-  ASSERT_FALSE(warm.ok());
-  EXPECT_EQ(warm.status().code(), StatusCode::kInvalidArgument);
+  EventSequence sequence;
+  Result<std::unique_ptr<Engine>> restored = Engine::FromSnapshot(
+      GranularitySystem::Gregorian(), path, EngineOptions{}, &sequence);
+  ASSERT_TRUE(restored.ok()) << restored.status();
+  EXPECT_TRUE((*restored)->frozen());
+  EXPECT_EQ(sequence.size(), 0u);
+  std::remove(path.c_str());
+}
+
+// Snapshots written before the frozen-family image was retired carry it as
+// section type 1 ahead of the sequence. Restore skips it without decoding
+// (so its payload here is arbitrary), freezes cold, and must serve the same
+// Mine reply as a fresh engine over the stored sequence.
+TEST(EngineSnapshotTest, OldSnapshotWithImageSectionStillRestores) {
+  const std::string path = TempPath("old_image.bin");
+  StockWorkloadOptions workload_options;
+  workload_options.trading_days = 25;
+  workload_options.plant_probability = 0.6;
+  workload_options.seed = 7;
+  Result<std::unique_ptr<Engine>> fresh = Engine::CreateGregorian();
+  ASSERT_TRUE(fresh.ok());
+  Workload workload =
+      MakeStockWorkload(*(*fresh)->system(), workload_options);
+  {
+    Result<std::unique_ptr<persist::AtomicFileSink>> sink =
+        persist::AtomicFileSink::Open(path);
+    ASSERT_TRUE(sink.ok());
+    SnapshotWriter writer(sink->get());
+    ASSERT_TRUE(writer.WriteHeader().ok());
+    ASSERT_TRUE(writer
+                    .WriteSection(SectionType::kRetiredFrozenImage,
+                                  SeededBytes(4099))
+                    .ok());
+    ASSERT_TRUE(writer
+                    .WriteSection(SectionType::kEventSequence,
+                                  persist::EncodeEventSequence(
+                                      workload.sequence))
+                    .ok());
+    ASSERT_TRUE(writer.Finish().ok());
+    ASSERT_TRUE((*sink)->Commit().ok());
+  }
+
+  EventSequence stored;
+  Result<std::unique_ptr<Engine>> restored = Engine::FromSnapshot(
+      GranularitySystem::Gregorian(), path, EngineOptions{}, &stored);
+  ASSERT_TRUE(restored.ok()) << restored.status();
+  EXPECT_TRUE((*restored)->frozen());
+  ASSERT_EQ(stored.size(), workload.sequence.size());
+  for (std::size_t i = 0; i < stored.size(); ++i) {
+    EXPECT_EQ(stored.events()[i].type, workload.sequence.events()[i].type);
+    EXPECT_EQ(stored.events()[i].time, workload.sequence.events()[i].time);
+  }
+
+  std::string replies[2];
+  Engine* engines[2] = {fresh->get(), restored->get()};
+  const EventSequence* sequences[2] = {&workload.sequence, &stored};
+  for (int i = 0; i < 2; ++i) {
+    auto structure = BuildFigure1a(*engines[i]->system());
+    ASSERT_TRUE(structure.ok());
+    DiscoveryProblem problem;
+    problem.structure = &*structure;
+    problem.min_confidence = 0.3;
+    problem.reference_type = *workload.registry.Find("IBM-rise");
+    MineRequest request;
+    request.problem = &problem;
+    request.sequence = sequences[i];
+    auto mined = engines[i]->Mine(request);
+    ASSERT_TRUE(mined.ok()) << mined.status();
+    replies[i] = FormatReport(mined->report);
+  }
+  EXPECT_FALSE(replies[0].empty());
+  EXPECT_EQ(replies[0], replies[1]);
   std::remove(path.c_str());
 }
 
@@ -486,37 +531,6 @@ TEST(GovernedIoTest, ExhaustedBudgetCancelsWriteWithoutPartialFile) {
 // Stream checkpoint/restore differential. Same toy system, structure and
 // deterministic arrival process as stream_test.cc, so the two gates certify
 // the same session shape.
-
-std::string FormatReport(const MiningReport& report) {
-  std::string out;
-  char buffer[256];
-  auto append = [&](const char* format, auto... args) {
-    std::snprintf(buffer, sizeof(buffer), format, args...);
-    out += buffer;
-  };
-  append("roots=%zu events=%zu/%zu cand=%llu/%llu runs=%llu configs=%llu\n",
-         report.total_roots, report.events_before,
-         report.events_after_reduction,
-         static_cast<unsigned long long>(report.candidates_before),
-         static_cast<unsigned long long>(report.candidates_after_screening),
-         static_cast<unsigned long long>(report.tag_runs),
-         static_cast<unsigned long long>(report.matcher_configurations));
-  const MiningCompleteness& c = report.completeness;
-  append("complete=%d stop=%d confirmed=%llu refuted=%llu unknown=%llu\n",
-         c.complete ? 1 : 0, static_cast<int>(c.stop),
-         static_cast<unsigned long long>(c.confirmed),
-         static_cast<unsigned long long>(c.refuted),
-         static_cast<unsigned long long>(c.unknown));
-  for (const DiscoveredType& solution : report.solutions) {
-    out += "sol";
-    for (EventTypeId type : solution.assignment) {
-      append(" %d", type);
-    }
-    append(" matched=%zu freq=%.17g\n", solution.matched_roots,
-           solution.frequency);
-  }
-  return out;
-}
 
 class CheckpointTest : public testing::Test {
  protected:
@@ -713,6 +727,54 @@ TEST_F(CheckpointTest, RestoreRefusesMismatchedSessionGeometry) {
   std::remove(path.c_str());
   std::remove(plain.c_str());
 }
+
+#if GRANMINE_OBS_ENABLED
+// An engine snapshot restore and a stream session resume are different
+// events and count on different counters: a dashboard on session resumes
+// must not fire on an engine start.
+TEST_F(CheckpointTest, SnapshotAndCheckpointRestoresCountSeparately) {
+  const std::string checkpoint = TempPath("counted_checkpoint.bin");
+  const std::string snapshot = TempPath("counted_snapshot.bin");
+  {
+    OnlineMiner miner = MakeStream(1);
+    for (int i = 0; i < 10; ++i) {
+      ASSERT_TRUE(miner.Ingest(events_[static_cast<std::size_t>(i)]).ok());
+    }
+    ASSERT_TRUE(persist::SaveStreamCheckpoint(miner, checkpoint).ok());
+    Result<std::unique_ptr<persist::AtomicFileSink>> sink =
+        persist::AtomicFileSink::Open(snapshot);
+    ASSERT_TRUE(sink.ok());
+    SnapshotWriter writer(sink->get());
+    ASSERT_TRUE(writer.WriteHeader().ok());
+    ASSERT_TRUE(writer.Finish().ok());
+    ASSERT_TRUE((*sink)->Commit().ok());
+  }
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  registry.set_enabled(false);
+  registry.Reset();
+  registry.set_enabled(true);
+  auto count = [&](const char* name) -> std::uint64_t {
+    const auto metrics = registry.Snapshot();
+    const obs::MetricValue* metric = metrics.Find(name);
+    return metric == nullptr ? 0 : metric->value;
+  };
+
+  auto system = std::make_unique<GranularitySystem>();
+  system->AddUniform("unit", 1);
+  ASSERT_TRUE(Engine::FromSnapshot(std::move(system), snapshot).ok());
+  EXPECT_EQ(count("granmine_persist_snapshot_restores_total"), 1u);
+  EXPECT_EQ(count("granmine_persist_restores_total"), 0u);
+
+  ASSERT_TRUE(
+      persist::RestoreStreamCheckpoint(&toy_, problem_, Options(1), checkpoint)
+          .ok());
+  EXPECT_EQ(count("granmine_persist_snapshot_restores_total"), 1u);
+  EXPECT_EQ(count("granmine_persist_restores_total"), 1u);
+  registry.set_enabled(false);
+  std::remove(checkpoint.c_str());
+  std::remove(snapshot.c_str());
+}
+#endif  // GRANMINE_OBS_ENABLED
 
 }  // namespace
 }  // namespace granmine

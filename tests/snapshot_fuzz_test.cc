@@ -69,11 +69,6 @@ class SnapshotFuzzTest : public testing::Test {
     problem_.allowed[1] = {0, 1, 2, 3};
     problem_.allowed[2] = {0, 1, 2, 3};
 
-    EXPECT_TRUE(toy_.Freeze().ok());
-    Result<FrozenSystemImage> image = toy_.ExportFrozenImage();
-    EXPECT_TRUE(image.ok());
-    image_payload_ = persist::EncodeFrozenSystemImage(*image);
-
     EventSequence sequence;
     for (int i = 0; i < 16; ++i) {
       sequence.Add(Event{static_cast<EventTypeId>(i % 4), i});
@@ -95,9 +90,6 @@ class SnapshotFuzzTest : public testing::Test {
     VectorSink sink;
     SnapshotWriter writer(&sink);
     EXPECT_TRUE(writer.WriteHeader().ok());
-    EXPECT_TRUE(
-        writer.WriteSection(SectionType::kFrozenSystemImage, image_payload_)
-            .ok());
     EXPECT_TRUE(
         writer.WriteSection(SectionType::kEventSequence, sequence_payload_)
             .ok());
@@ -134,14 +126,6 @@ class SnapshotFuzzTest : public testing::Test {
     }
     for (const Section& section : *sections) {
       switch (section.type) {
-        case SectionType::kFrozenSystemImage: {
-          Result<FrozenSystemImage> image =
-              persist::DecodeFrozenSystemImage(section);
-          if (!image.ok()) {
-            ExpectCleanFailure(image.status(), context + " [image]");
-          }
-          break;
-        }
         case SectionType::kEventSequence: {
           Result<EventSequence> sequence =
               persist::DecodeEventSequence(section);
@@ -169,7 +153,6 @@ class SnapshotFuzzTest : public testing::Test {
   const Granularity* unit_;
   EventStructure s_;
   DiscoveryProblem problem_;
-  std::vector<std::uint8_t> image_payload_;
   std::vector<std::uint8_t> sequence_payload_;
   std::vector<std::uint8_t> stream_payload_;
   std::vector<std::uint8_t> snapshot_;
@@ -179,7 +162,7 @@ TEST_F(SnapshotFuzzTest, IntactCorpusDecodesEndToEnd) {
   SpanSource source(snapshot_);
   Result<std::vector<Section>> sections = persist::ReadAllSections(&source);
   ASSERT_TRUE(sections.ok()) << sections.status();
-  ASSERT_EQ(sections->size(), 5u);
+  ASSERT_EQ(sections->size(), 4u);
   DrivePipeline(snapshot_, "intact");
 }
 
@@ -224,7 +207,6 @@ TEST_F(SnapshotFuzzTest, CodecLevelBitFlipsFailCleanly) {
     SectionType type;
   };
   const Target targets[] = {
-      {"image", &image_payload_, SectionType::kFrozenSystemImage},
       {"sequence", &sequence_payload_, SectionType::kEventSequence},
       {"stream", &stream_payload_, SectionType::kStreamSession},
   };
@@ -240,13 +222,7 @@ TEST_F(SnapshotFuzzTest, CodecLevelBitFlipsFailCleanly) {
             static_cast<std::uint8_t>(section.payload[byte] ^ (1u << bit));
         const std::string context = std::string("codec flip ") + target.name +
                                     " byte " + std::to_string(byte);
-        if (target.type == SectionType::kFrozenSystemImage) {
-          Result<FrozenSystemImage> image =
-              persist::DecodeFrozenSystemImage(section);
-          // A flipped table value still *decodes*; FreezeFromImage is the
-          // semantic gate. Structural corruption must fail cleanly.
-          if (!image.ok()) ExpectCleanFailure(image.status(), context);
-        } else if (target.type == SectionType::kEventSequence) {
+        if (target.type == SectionType::kEventSequence) {
           Result<EventSequence> sequence =
               persist::DecodeEventSequence(section);
           if (!sequence.ok()) ExpectCleanFailure(sequence.status(), context);
@@ -275,21 +251,6 @@ TEST_F(SnapshotFuzzTest, CodecLevelTruncationFailsCleanly) {
     ASSERT_FALSE(installed.ok())
         << "stream payload truncated at " << cut << " installed cleanly";
     ExpectCleanFailure(installed, "stream truncated at " + std::to_string(cut));
-  }
-  for (std::size_t cut = 0; cut < image_payload_.size();
-       cut += (cut < 64 ? 1 : 17)) {
-    Section section;
-    section.type = SectionType::kFrozenSystemImage;
-    section.payload.assign(image_payload_.begin(),
-                           image_payload_.begin() +
-                               static_cast<std::ptrdiff_t>(cut));
-    section.payload_offset = 36;
-    Result<FrozenSystemImage> image =
-        persist::DecodeFrozenSystemImage(section);
-    ASSERT_FALSE(image.ok())
-        << "image payload truncated at " << cut << " decoded cleanly";
-    ExpectCleanFailure(image.status(),
-                       "image truncated at " + std::to_string(cut));
   }
 }
 

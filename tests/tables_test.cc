@@ -1,5 +1,9 @@
 #include "granmine/granularity/tables.h"
 
+#include <algorithm>
+#include <memory>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "granmine/common/math.h"
@@ -175,6 +179,51 @@ TEST(SyntheticTablesTest, GappedToyValues) {
   EXPECT_EQ(system.tables().MaxSize(*toy, 2), 8);   // [5..12]
   EXPECT_EQ(system.tables().MinGap(*toy, 1), 3);  // 5-2=3 vs 10-6=4
   EXPECT_EQ(system.tables().MinGap(*toy, 2), 8);  // 10-2=8 vs 15-6=9
+}
+
+// The scan the sealed rows came from before the one-walk freeze: hulls
+// straight from TickHull, materialized up to the furthest tick a
+// k <= kSealedKCap scan reads. Every sealed row of every calendar family,
+// holiday overlays included, must equal it value for value.
+TEST(TablesOracleTest, SealedRowsMatchTickHullScan) {
+  const std::vector<CivilDate> holidays = {
+      {1970, 12, 25}, {1971, 1, 1}, {1972, 7, 4}};
+  std::vector<std::unique_ptr<GranularitySystem>> families;
+  families.push_back(GranularitySystem::Gregorian());
+  families.push_back(GranularitySystem::Gregorian(holidays));
+  families.push_back(GranularitySystem::GregorianDays());
+  families.push_back(GranularitySystem::GregorianDays(holidays));
+  const std::int64_t cap = GranularityTables::kSealedKCap;
+  for (std::unique_ptr<GranularitySystem>& system : families) {
+    ASSERT_TRUE(system->Freeze().ok());
+    for (const Granularity* g : system->family()) {
+      if (g->AnalyticMinSize(1).has_value()) continue;  // closed form
+      const Tick starts =
+          g->LastDeviantTick() + g->periodicity().ticks_per_period;
+      std::vector<TimeSpan> hulls;  // hulls[z - 1] = TickHull(z)
+      for (Tick z = 1; z <= starts + cap; ++z) {
+        hulls.push_back(*g->TickHull(z));
+      }
+      auto hull = [&](Tick z) {
+        return hulls[static_cast<std::size_t>(z - 1)];
+      };
+      for (std::int64_t k = 1; k <= cap; ++k) {
+        std::int64_t min_size = kInfinity, max_size = 0, min_gap = kInfinity;
+        for (Tick i = 1; i <= starts; ++i) {
+          const std::int64_t span = hull(i + k - 1).last - hull(i).first + 1;
+          min_size = std::min(min_size, span);
+          max_size = std::max(max_size, span);
+          min_gap = std::min(min_gap, hull(i + k).first - hull(i).last);
+        }
+        EXPECT_EQ(system->tables().MinSize(*g, k), min_size)
+            << g->name() << " k=" << k;
+        EXPECT_EQ(system->tables().MaxSize(*g, k), max_size)
+            << g->name() << " k=" << k;
+        EXPECT_EQ(system->tables().MinGap(*g, k), min_gap)
+            << g->name() << " k=" << k;
+      }
+    }
+  }
 }
 
 }  // namespace
